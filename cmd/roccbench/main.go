@@ -180,26 +180,50 @@ func main() {
 		return
 	}
 
-	if *exp == "all" {
-		if err := experiments.RunAll(os.Stdout, opt); err != nil {
-			fmt.Fprintln(os.Stderr, "roccbench:", err)
-			os.Exit(1)
-		}
-		return
+	code, err := runText(*exp, *outPath, opt)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "roccbench:", err)
+		os.Exit(code)
 	}
-	// Comma-separated lists run in order: roccbench -exp fig17,fig18,fig19
-	for _, id := range expandIDs(*exp) {
-		e, ok := experiments.ByID(id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "roccbench: unknown experiment %q (try -list)\n", id)
-			os.Exit(2)
-		}
-		fmt.Printf("# %s — %s\n", e.ID, e.Title)
-		if err := e.Run(os.Stdout, opt); err != nil {
-			fmt.Fprintln(os.Stderr, "roccbench:", err)
-			os.Exit(1)
+}
+
+// runText renders the text experiments named by exp ("all" or an id
+// list, run in order: roccbench -exp fig17,fig18,fig19) to -out, or to
+// stdout when -out is empty. Every id is resolved before the output file
+// is created, so a typo leaves an existing file untouched. The returned
+// exit code is 2 for an unknown id and 1 for any other failure.
+func runText(exp, outPath string, opt experiments.Options) (int, error) {
+	var list []experiments.Experiment
+	if exp != "all" {
+		for _, id := range expandIDs(exp) {
+			e, ok := experiments.ByID(id)
+			if !ok {
+				return 2, fmt.Errorf("unknown experiment %q (try -list)", id)
+			}
+			list = append(list, e)
 		}
 	}
+	w, err := cli.Output(outPath)
+	if err != nil {
+		return 1, err
+	}
+	if exp == "all" {
+		err = experiments.RunAll(w, opt)
+	} else {
+		for _, e := range list {
+			fmt.Fprintf(w, "# %s — %s\n", e.ID, e.Title)
+			if err = e.Run(w, opt); err != nil {
+				break
+			}
+		}
+	}
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return 1, err
+	}
+	return 0, nil
 }
 
 // trackedBenchIDs is the replication- and DES-heavy experiment set whose

@@ -36,6 +36,7 @@ type Model struct {
 	Inj *faults.Injector
 
 	topo        forward.Topology
+	msgs        forward.MessagePool // daemons' messages, recycled by wireDelivery
 	nodeDaemons [][]*procs.PdDaemon // daemons indexed by node (NOW/MPP)
 	nodeProcs   []int               // current application-process count per node
 	master      *rng.Stream         // for mid-run spawns
@@ -229,6 +230,7 @@ func (m *Model) buildPerNode(master *rng.Stream) {
 				Cost:         cfg.Cost,
 				Node:         node,
 				FlushTimeout: cfg.FlushTimeout,
+				Messages:     &m.msgs,
 			}
 			m.wireDelivery(d)
 			m.Daemons = append(m.Daemons, d)
@@ -265,12 +267,18 @@ func (m *Model) buildPerNode(master *rng.Stream) {
 // wireDelivery routes a daemon's transmitted messages either to the main
 // process or to the parent node's (first) daemon per the topology. Wiring
 // is deferred via closure so it works while daemons are still being built.
+//
+// This direct path is the one place a message returns to the model's
+// pool: once Main.Receive returns nothing references it. Messages routed
+// through a faults.Link are never recycled, since the link's pending map
+// can retransmit them and injected duplicates are copies of them.
 func (m *Model) wireDelivery(d *procs.PdDaemon) {
 	node := d.Node
 	d.Deliver = func(msg *forward.Message) {
 		parent, toMain := m.topo.Next(node)
 		if toMain {
 			m.Main.Receive(msg)
+			m.msgs.Put(msg)
 			return
 		}
 		m.nodeDaemons[parent][0].Receive(msg)
@@ -307,8 +315,9 @@ func (m *Model) buildSMP(master *rng.Stream) {
 			Cost:         cfg.Cost,
 			Node:         0,
 			FlushTimeout: cfg.FlushTimeout,
-			Deliver:      func(msg *forward.Message) { m.Main.Receive(msg) },
+			Messages:     &m.msgs,
 		}
+		m.wireDelivery(d)
 		m.Daemons[k] = d
 	}
 

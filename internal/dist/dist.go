@@ -367,15 +367,15 @@ type coord struct {
 	mon    *Monitor       // nil when progress is off
 	tr     *TraceRecorder // nil when tracing is off
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	status    []shardStatus
-	attempts  []int // active attempts per shard
-	failures  []int // accumulated failed attempts per shard
-	lastErr   []error
-	startedAt []time.Time // earliest active attempt start
-	queue     []int       // pending shard indices, FIFO
-	results   [][]core.Result
+	mu         sync.Mutex
+	cond       *sync.Cond
+	status     []shardStatus
+	attempts   []int // active attempts per shard
+	failures   []int // accumulated failed attempts per shard
+	lastErr    []error
+	startedAt  []time.Time // earliest active attempt start
+	queue      []int       // pending shard indices, FIFO
+	results    [][]core.Result
 	remoteable int // shards not yet Done or Local
 	slots      int // live slot goroutines
 	closed     bool

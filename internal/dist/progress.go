@@ -66,12 +66,12 @@ type Progress struct {
 	Waiting int `json:"waiting"`
 	// LocalFallback counts shards routed to local execution after their
 	// remote retry budget was exhausted (or when the fleet was lost).
-	LocalFallback int `json:"local_fallback"`
-	Retries       int `json:"retries"`
-	Speculative   int `json:"speculative"`
-	Duplicates    int `json:"duplicates"`
-	Timeouts      int `json:"timeouts"`
-	Failures      int `json:"failures"`
+	LocalFallback int     `json:"local_fallback"`
+	Retries       int     `json:"retries"`
+	Speculative   int     `json:"speculative"`
+	Duplicates    int     `json:"duplicates"`
+	Timeouts      int     `json:"timeouts"`
+	Failures      int     `json:"failures"`
 	ElapsedSec    float64 `json:"elapsed_sec"`
 	// AvgShardSec is the mean observed duration of completed shards
 	// (0 until the first completion).

@@ -365,7 +365,9 @@ func TestDegraderEngagesAndBacksOff(t *testing.T) {
 
 	// Relief: drain the pipe; after the 3-tick decay hysteresis the
 	// controller steps settings back each tick.
-	pipe.Drain(0)
+	for n := pipe.Len(); n > 0; n-- {
+		pipe.Get()
+	}
 	for sim.Step() && sim.Now() <= 15000 {
 	}
 	if d.Thinning > 1 {

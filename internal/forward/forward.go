@@ -67,6 +67,48 @@ type Message struct {
 	Hops     int
 }
 
+// MessagePool recycles messages together with their sample buffers, so
+// a steady stream of forwarded batches allocates nothing once the pool
+// holds as many messages as are ever in flight at once. A message may go
+// back with Put only when nothing else references it or its Samples any
+// more. A nil pool is valid: Get allocates and Put discards.
+type MessagePool struct {
+	free     []*Message
+	recycled int
+}
+
+// Get returns an empty message (no samples, zero FromNode and Hops),
+// reusing a recycled one and its sample buffer when available.
+func (p *MessagePool) Get() *Message {
+	if p == nil || len(p.free) == 0 {
+		return &Message{}
+	}
+	n := len(p.free) - 1
+	m := p.free[n]
+	p.free[n] = nil
+	p.free = p.free[:n]
+	return m
+}
+
+// Put returns a message to the pool. The caller gives up the message and
+// its Samples slice.
+func (p *MessagePool) Put(m *Message) {
+	if p == nil {
+		return
+	}
+	*m = Message{Samples: m.Samples[:0]}
+	p.free = append(p.free, m)
+	p.recycled++
+}
+
+// Recycled returns how many messages have been returned with Put.
+func (p *MessagePool) Recycled() int {
+	if p == nil {
+		return 0
+	}
+	return p.recycled
+}
+
 // CostModel prices the daemon work of forwarding. A message costs one
 // fixed per-message term (the system call and protocol processing that CF
 // pays per sample and BF amortizes over a batch) plus a small per-extra-

@@ -119,9 +119,9 @@ func NewCF() Strategy { return cfStrategy{} }
 func (cfStrategy) Decide(now float64, buffered, capacity int) (Action, int) {
 	return ForwardNow, 1
 }
-func (cfStrategy) Observe(Feedback)  {}
-func (cfStrategy) Clone() Strategy   { return cfStrategy{} }
-func (cfStrategy) String() string    { return "cf" }
+func (cfStrategy) Observe(Feedback) {}
+func (cfStrategy) Clone() Strategy  { return cfStrategy{} }
+func (cfStrategy) String() string   { return "cf" }
 
 // fixedBFStrategy accumulates a fixed batch before forwarding.
 type fixedBFStrategy struct{ batch int }

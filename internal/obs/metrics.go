@@ -41,7 +41,7 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // bucket i counts observations in (bounds[i-1], bounds[i]]; one overflow
 // bucket catches everything above the last bound.
 type Histogram struct {
-	Name   string
+	Name string
 	// mu makes the histogram safe to snapshot from the live exporter
 	// while the simulation goroutine observes into it. The lock is
 	// uncontended on the hot path (the exporter grabs it only per

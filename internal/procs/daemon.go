@@ -20,6 +20,12 @@ import (
 // The fault layer (internal/faults) can crash the daemon transiently
 // (Crash/Restore) and engage graceful degradation via Thinning; both are
 // inert in the fault-free baseline.
+//
+// Each message comes from a pool (see Messages) and its sample buffer is
+// the batch handed to Obs. The model recycles the message after main
+// receipt on its direct delivery path, so observers must not keep a
+// batch slice. The work on one message runs as a pdJob drawn from the
+// daemon's free list.
 type PdDaemon struct {
 	Sim *des.Simulator
 	CPU *resources.CPU
@@ -60,10 +66,16 @@ type PdDaemon struct {
 	// Obs, when non-nil, receives batch/forward/crash notifications.
 	Obs Observer
 
+	// Messages supplies the messages, and their sample buffers, that
+	// drain fills. The model shares one pool among its daemons. Nil
+	// allocates every message.
+	Messages *forward.MessagePool
+
 	busy       bool
 	down       bool
-	epoch      int // bumped on Crash; stale CPU callbacks check it
-	relayQ     []*forward.Message
+	epoch      int32 // bumped on Crash; stale jobs check it
+	relayQ     resources.FIFO[*forward.Message]
+	jobFree    []*pdJob
 	nextPipe   int
 	thinSeq    int
 	flushTimer *des.Event
@@ -127,7 +139,8 @@ func (d *PdDaemon) Crash() {
 	d.epoch++
 	d.CrashCount++
 	lost := 0
-	for _, m := range d.relayQ {
+	for i := 0; i < d.relayQ.Len(); i++ {
+		m := *d.relayQ.At(i)
 		lost += len(m.Samples)
 		if d.Obs != nil {
 			for _, s := range m.Samples {
@@ -136,7 +149,7 @@ func (d *PdDaemon) Crash() {
 		}
 	}
 	d.CrashLostSamples += lost
-	d.relayQ = nil
+	d.relayQ.Clear()
 	d.cancelFlush()
 	d.busy = false
 	if d.Obs != nil {
@@ -190,7 +203,7 @@ func (d *PdDaemon) Receive(msg *forward.Message) {
 	if d.Obs != nil {
 		d.Obs.MessageReceived(d.Node, d.Sim.Now(), msg.Samples, msg.Hops)
 	}
-	d.relayQ = append(d.relayQ, msg)
+	d.relayQ.Push(msg)
 	d.Wake()
 }
 
@@ -211,27 +224,10 @@ func (d *PdDaemon) Wake() {
 		return
 	}
 	// Relaying children's data takes priority: it keeps the tree draining.
-	if len(d.relayQ) > 0 {
-		msg := d.relayQ[0]
-		d.relayQ = d.relayQ[1:]
+	if d.relayQ.Len() > 0 {
+		j := d.newJob(d.relayQ.Pop(), true, 0)
 		d.busy = true
-		epoch := d.epoch
-		d.CPU.Submit(OwnerPd, d.Cost.MergeCPU(d.R), func() {
-			if d.epoch != epoch { // crashed mid-merge: message lost
-				d.CrashLostSamples += len(msg.Samples)
-				if d.Obs != nil {
-					for _, s := range msg.Samples {
-						d.Obs.SampleLost(d.Node, d.Sim.Now(), s, LossCrash)
-					}
-				}
-				return
-			}
-			d.MessagesMerged++
-			msg.Hops++
-			d.send(msg)
-			d.busy = false
-			d.Wake()
-		})
+		d.CPU.Submit(OwnerPd, d.Cost.MergeCPU(d.R), j.step)
 		return
 	}
 	capTotal := d.capacity()
@@ -259,29 +255,106 @@ func (d *PdDaemon) Wake() {
 				want = capTotal
 			}
 		}
-		batch := d.drain(want)
-		if len(batch) == 0 {
-			continue // batch fully thinned away; keep draining
+		msg := d.drain(want)
+		if len(msg.Samples) == 0 {
+			d.Messages.Put(msg) // batch fully thinned away; keep draining
+			continue
 		}
 		d.cancelFlush()
-		d.busy = true
-		epoch := d.epoch
-		d.CPU.Submit(OwnerPd, d.Cost.MsgCPU(d.R, len(batch)), func() {
-			if d.epoch != epoch { // crashed mid-collection: batch lost
-				d.CrashLostSamples += len(batch)
-				if d.Obs != nil {
-					for _, s := range batch {
-						d.Obs.SampleLost(d.Node, d.Sim.Now(), s, LossCrash)
-					}
-				}
-				return
-			}
-			d.observe(strat, batch, capTotal)
-			d.send(&forward.Message{Samples: batch, FromNode: d.Node, Hops: 1})
-			d.busy = false
-			d.Wake()
-		})
+		d.collect(msg, capTotal)
 		return
+	}
+}
+
+// collect starts the CPU work of forwarding a locally drained batch.
+func (d *PdDaemon) collect(msg *forward.Message, capTotal int) {
+	j := d.newJob(msg, false, capTotal)
+	d.busy = true
+	d.CPU.Submit(OwnerPd, d.Cost.MsgCPU(d.R, len(msg.Samples)), j.step)
+}
+
+// pdJob is one message's trip through its daemon: CPU work (collection
+// of a local batch, or the merge of a child's message), then network
+// transit. Records come from the daemon's free list with their
+// continuation bound once, so the forwarding path allocates no closures.
+// The crash epoch lives on the record, not the daemon: after a
+// crash/restore, a stale CPU completion can still be pending alongside a
+// new job's.
+//
+// A saturated network queues one job per waiting message, so the record
+// is kept small: one continuation serves both stages, and the counters
+// are 32-bit.
+type pdJob struct {
+	msg      *forward.Message
+	step     func() // calls d.jobStep(this); bound once
+	epoch    int32  // daemon epoch at submission
+	capTotal int32  // capacity at drain time, for strategy feedback
+	relay    bool   // merging a child's message (else a local batch)
+	onNet    bool   // CPU work done, message in network transit
+}
+
+func (d *PdDaemon) newJob(msg *forward.Message, relay bool, capTotal int) *pdJob {
+	var j *pdJob
+	if n := len(d.jobFree); n > 0 {
+		j = d.jobFree[n-1]
+		d.jobFree[n-1] = nil
+		d.jobFree = d.jobFree[:n-1]
+	} else {
+		j = &pdJob{}
+		j.step = func() { d.jobStep(j) }
+	}
+	j.msg, j.relay, j.capTotal, j.epoch = msg, relay, int32(capTotal), d.epoch
+	j.onNet = false
+	return j
+}
+
+func (d *PdDaemon) releaseJob(j *pdJob) {
+	j.msg = nil
+	d.jobFree = append(d.jobFree, j)
+}
+
+// jobStep runs at the completion of a job's current stage.
+func (d *PdDaemon) jobStep(j *pdJob) {
+	if j.onNet {
+		d.jobNetDone(j)
+	} else {
+		d.jobCPUDone(j)
+	}
+}
+
+// jobCPUDone runs when a job's CPU work completes: unless the daemon
+// crashed meanwhile (the message is lost), the message goes onto the
+// network and the daemon looks for more work.
+func (d *PdDaemon) jobCPUDone(j *pdJob) {
+	msg := j.msg
+	if d.epoch != j.epoch { // crashed mid-collection or mid-merge
+		d.CrashLostSamples += len(msg.Samples)
+		if d.Obs != nil {
+			for _, s := range msg.Samples {
+				d.Obs.SampleLost(d.Node, d.Sim.Now(), s, LossCrash)
+			}
+		}
+		d.releaseJob(j)
+		return
+	}
+	if j.relay {
+		d.MessagesMerged++
+		msg.Hops++
+	} else {
+		d.observe(d.strategy(), msg.Samples, int(j.capTotal))
+	}
+	d.send(j)
+	d.busy = false
+	d.Wake()
+}
+
+// jobNetDone runs when a job's network transmission completes and hands
+// the message to its destination.
+func (d *PdDaemon) jobNetDone(j *pdJob) {
+	msg := j.msg
+	d.releaseJob(j)
+	if d.Deliver != nil {
+		d.Deliver(msg)
 	}
 }
 
@@ -316,29 +389,12 @@ func (d *PdDaemon) flush() {
 	if d.busy || d.down || d.available() == 0 {
 		return
 	}
-	batch := d.drain(d.available())
-	if len(batch) == 0 {
+	msg := d.drain(d.available())
+	if len(msg.Samples) == 0 {
+		d.Messages.Put(msg)
 		return
 	}
-	capTotal := d.capacity()
-	strat := d.strategy()
-	d.busy = true
-	epoch := d.epoch
-	d.CPU.Submit(OwnerPd, d.Cost.MsgCPU(d.R, len(batch)), func() {
-		if d.epoch != epoch {
-			d.CrashLostSamples += len(batch)
-			if d.Obs != nil {
-				for _, s := range batch {
-					d.Obs.SampleLost(d.Node, d.Sim.Now(), s, LossCrash)
-				}
-			}
-			return
-		}
-		d.observe(strat, batch, capTotal)
-		d.send(&forward.Message{Samples: batch, FromNode: d.Node, Hops: 1})
-		d.busy = false
-		d.Wake()
-	})
+	d.collect(msg, d.capacity())
 }
 
 func (d *PdDaemon) cancelFlush() {
@@ -348,13 +404,16 @@ func (d *PdDaemon) cancelFlush() {
 	}
 }
 
-// drain gathers up to want samples round-robin across the daemon's pipes,
-// then applies degradation thinning to the collected batch.
-func (d *PdDaemon) drain(want int) []resources.Sample {
-	out := make([]resources.Sample, 0, want)
+// drain gathers up to want samples round-robin across the daemon's pipes
+// into a message from the pool, then applies degradation thinning to the
+// collected batch.
+func (d *PdDaemon) drain(want int) *forward.Message {
+	msg := d.Messages.Get()
+	msg.FromNode, msg.Hops = d.Node, 1
 	if len(d.Pipes) == 0 {
-		return out
+		return msg
 	}
+	out := msg.Samples
 	empty := 0
 	for len(out) < want && empty < len(d.Pipes) {
 		p := d.Pipes[d.nextPipe%len(d.Pipes)]
@@ -383,22 +442,20 @@ func (d *PdDaemon) drain(want int) []resources.Sample {
 	if d.Obs != nil && len(out) > 0 {
 		d.Obs.BatchCollected(d.Node, d.Sim.Now(), len(out))
 	}
-	return out
+	msg.Samples = out
+	return msg
 }
 
-// send transmits a message over the network; delivery happens when the
-// network occupancy completes.
-func (d *PdDaemon) send(msg *forward.Message) {
+// send transmits a job's message over the network; delivery happens when
+// the network occupancy completes.
+func (d *PdDaemon) send(j *pdJob) {
+	msg := j.msg
 	d.MessagesForwarded++
 	d.SamplesForwarded += len(msg.Samples)
 	if d.Obs != nil {
 		d.Obs.MessageForwarded(d.Node, d.Sim.Now(), msg.Samples, msg.Hops)
 	}
 	netLen := d.Cost.MsgNet(d.R, len(msg.Samples))
-	deliver := d.Deliver
-	d.Net.Submit(OwnerPd, netLen, func() {
-		if deliver != nil {
-			deliver(msg)
-		}
-	})
+	j.onNet = true
+	d.Net.Submit(OwnerPd, netLen, j.step)
 }

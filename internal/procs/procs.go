@@ -62,7 +62,9 @@ func (r LossReason) String() string {
 // Implementations must only record — they must not call back into the
 // process models or the simulator. Batch slices passed to
 // MessageForwarded and MessageReceived are owned by the caller and must
-// not be retained past the call.
+// not be retained past the call: they are the sample buffers of pooled
+// messages, which the model recycles once the message has been received
+// by the main process.
 type Observer interface {
 	// SampleGenerated fires when an application process writes a sample;
 	// blocked reports that the write stalled on a full pipe (§4.3.3).

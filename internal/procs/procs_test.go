@@ -421,3 +421,28 @@ func TestDaemonThinningForwardsSubset(t *testing.T) {
 		t.Fatalf("delivered %d messages", len(*delivered))
 	}
 }
+
+// TestDaemonStaleJobAcrossCrashEpoch crashes and restores a daemon while
+// a collection job's CPU work is still pending, so the stale job and the
+// restored daemon's new job are in flight together. The epoch on each job
+// record decides: the stale completion loses its sample, the new one
+// forwards its own, and both records return to the free list.
+func TestDaemonStaleJobAcrossCrashEpoch(t *testing.T) {
+	r := newRig(64)
+	d, delivered := newDaemon(r, forward.CF, 1)
+	r.pipe.Put(resources.Sample{GenTime: 1, Seq: 1}, nil)
+	r.sim.Run(50) // collection CPU (267 us) in flight
+	d.Crash()
+	r.pipe.Put(resources.Sample{GenTime: 2, Seq: 2}, nil)
+	d.Restore() // new job queues behind the stale one on the CPU
+	r.sim.RunAll()
+	if d.CrashLostSamples != 1 {
+		t.Fatalf("crash-lost samples %d, want 1", d.CrashLostSamples)
+	}
+	if len(*delivered) != 1 || (*delivered)[0].Samples[0].Seq != 2 {
+		t.Fatalf("delivered %+v, want only the post-restore sample", *delivered)
+	}
+	if len(d.jobFree) != 2 {
+		t.Fatalf("%d job records on the free list, want 2", len(d.jobFree))
+	}
+}

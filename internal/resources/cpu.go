@@ -29,7 +29,7 @@ type CPU struct {
 	cores   int
 	quantum float64
 
-	ready   []*cpuReq
+	ready   FIFO[*cpuReq]
 	running int
 
 	busy      tally
@@ -94,14 +94,13 @@ func (c *CPU) Submit(owner string, length float64, onDone func()) {
 		req = &cpuReq{owner: owner, remaining: length, onDone: onDone}
 		req.fire = func() { c.complete(req) }
 	}
-	c.ready = append(c.ready, req)
+	c.ready.Push(req)
 	c.dispatch()
 }
 
 func (c *CPU) dispatch() {
-	for c.running < c.cores && len(c.ready) > 0 {
-		req := c.ready[0]
-		c.ready = c.ready[1:]
+	for c.running < c.cores && c.ready.Len() > 0 {
+		req := c.ready.Pop()
 		c.running++
 		slice := req.remaining
 		if slice > c.quantum {
@@ -133,13 +132,13 @@ func (c *CPU) complete(req *cpuReq) {
 			done()
 		}
 	} else {
-		c.ready = append(c.ready, req)
+		c.ready.Push(req)
 	}
 	c.dispatch()
 }
 
 // QueueLen returns the number of requests waiting (not running).
-func (c *CPU) QueueLen() int { return len(c.ready) }
+func (c *CPU) QueueLen() int { return c.ready.Len() }
 
 // Running returns the number of requests currently holding a core.
 func (c *CPU) Running() int { return c.running }

@@ -20,7 +20,7 @@ type Network struct {
 	sim       *des.Simulator
 	contended bool
 
-	queue   []*netReq
+	queue   FIFO[*netReq]
 	serving bool
 
 	// busy accumulates per-owner occupancy time and completed-transfer
@@ -65,7 +65,7 @@ func (n *Network) Submit(owner string, length float64, onDone func()) {
 		n.sim.Schedule(length, req.fire)
 		return
 	}
-	n.queue = append(n.queue, req)
+	n.queue.Push(req)
 	n.serve()
 }
 
@@ -83,11 +83,10 @@ func (n *Network) newReq(owner string, length float64, onDone func()) *netReq {
 }
 
 func (n *Network) serve() {
-	if n.serving || len(n.queue) == 0 {
+	if n.serving || n.queue.Len() == 0 {
 		return
 	}
-	req := n.queue[0]
-	n.queue = n.queue[1:]
+	req := n.queue.Pop()
 	n.serving = true
 	n.sim.Schedule(req.length, req.fire)
 }
@@ -124,7 +123,7 @@ func (n *Network) account(owner string, length float64) {
 }
 
 // QueueLen returns the number of requests waiting (contended mode only).
-func (n *Network) QueueLen() int { return len(n.queue) }
+func (n *Network) QueueLen() int { return n.queue.Len() }
 
 // Busy returns accumulated channel occupancy for an owner class.
 func (n *Network) Busy(owner string) float64 { return n.busy.get(owner) }

@@ -49,8 +49,17 @@ func FuzzPipeInvariants(f *testing.F) {
 				if _, ok := p.Get(); ok {
 					gets++
 				}
-			case 3: // drain
-				gets += len(p.Drain(int(op/5) % (capacity + 2)))
+			case 3: // multi-sample drain: blocked writers enter as space frees
+				n := int(op/5) % (capacity + 2)
+				if n == 0 || n > p.Len()+p.Blocked() {
+					n = p.Len()
+				}
+				for ; n > 0; n-- {
+					if _, ok := p.Get(); !ok {
+						break
+					}
+					gets++
+				}
 			case 4: // capacity squeeze / release
 				p.SetCapacityLimit(int(op/5) % (capacity + 2))
 			}

@@ -257,23 +257,50 @@ func TestPipeTryPutDrops(t *testing.T) {
 	}
 }
 
+// TestPipeDrain drains a pipe through a Get loop, the way the daemon
+// collects a batch: samples leave oldest first, and blocked writers are
+// admitted in FIFO order as each Get frees space, so a multi-sample drain
+// also collects the samples that were blocked when it began.
 func TestPipeDrain(t *testing.T) {
-	p := NewPipe(8)
+	p := NewPipe(3)
+	var admitted []int
 	for i := 0; i < 5; i++ {
-		p.Put(Sample{GenTime: float64(i)}, nil)
+		i := i
+		p.Put(Sample{GenTime: float64(i)}, func() { admitted = append(admitted, i) })
 	}
-	batch := p.Drain(3)
-	if len(batch) != 3 || batch[0].GenTime != 0 || batch[2].GenTime != 2 {
+	if p.Len() != 3 || p.Blocked() != 2 {
+		t.Fatalf("len %d blocked %d, want 3 and 2", p.Len(), p.Blocked())
+	}
+	drain := func(n int) []Sample {
+		var out []Sample
+		for ; n > 0; n-- {
+			s, ok := p.Get()
+			if !ok {
+				break
+			}
+			out = append(out, s)
+		}
+		return out
+	}
+	batch := drain(4)
+	if len(batch) != 4 {
 		t.Fatalf("batch %v", batch)
 	}
-	rest := p.Drain(0)
-	if len(rest) != 2 {
-		t.Fatalf("drain-all returned %d", len(rest))
+	for i, s := range batch {
+		if s.GenTime != float64(i) {
+			t.Fatalf("batch %v out of order", batch)
+		}
 	}
-	if p.Len() != 0 {
-		t.Fatal("pipe not empty")
+	if len(admitted) != 2 || admitted[0] != 3 || admitted[1] != 4 {
+		t.Fatalf("admitted %v, want [3 4]", admitted)
 	}
-	if got := p.Drain(4); len(got) != 0 {
+	if p.Blocked() != 0 || p.Len() != 1 {
+		t.Fatalf("len %d blocked %d after drain, want 1 and 0", p.Len(), p.Blocked())
+	}
+	if rest := drain(8); len(rest) != 1 || rest[0].GenTime != 4 {
+		t.Fatalf("rest %v", rest)
+	}
+	if got := drain(4); len(got) != 0 {
 		t.Fatal("drain of empty pipe")
 	}
 }
