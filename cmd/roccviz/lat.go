@@ -6,27 +6,31 @@ import (
 	"io"
 	"os"
 
+	"rocc/internal/core"
 	"rocc/internal/obs"
 	"rocc/internal/obs/prov"
+	"rocc/internal/procs"
 	"rocc/internal/report"
-	"rocc/internal/stats"
+	"rocc/internal/resources"
 )
 
-// Offline latency decomposition: roccviz -lat replays an exported Chrome
-// trace through the same stage state machine the live provenance engine
-// runs (internal/obs/prov), so a waterfall can be recovered from a trace
-// file long after the run — no re-simulation. The flow events WriteChrome
-// emits carry everything the state machine needs: the "s" flow start is
-// generation, pipe-put/pipe-get instants bound the pipe dwell,
-// "sample-forwarded"/"sample-arrived" flow steps (with pd and hops args)
-// bound the network and merge legs, and the delivered sample's "X" span
-// (ts = generation, dur = latency) closes the path. Reconstruction is
-// exact for every sample whose full path is in the trace; paths truncated
-// by warmup removal are counted as incomplete and excluded.
+// Offline latency decomposition: roccviz -lat decodes an exported Chrome
+// trace back into the calls the live provenance engine (internal/obs/prov)
+// received during the run and feeds them, in trace order, to a fresh
+// prov.Engine — no re-simulation and no second copy of the stage state
+// machine. WriteChrome's events carry every argument those calls need:
+// the "s" flow start is generation, pipe-put/pipe-get/pipe-dropped
+// instants name the sample, "sample-forwarded"/"sample-arrived" flow
+// steps carry the daemon and hop count, the delivered sample's "X" span
+// has ts = generation and dur = latency, and an "f" flow end with no
+// delivery is a loss (its reason on the "sample-lost" instant just
+// before it). A warmup-free trace therefore replays into exactly the
+// live engine's Stages(); deliveries whose generation precedes the trace
+// (warmup removal) are counted as incomplete and not decomposed.
 
-// latEvent is the subset of a Chrome trace event the reconstruction
-// reads. Args uses pointers so "present with value 0" is distinguishable
-// from "absent".
+// latEvent is the subset of a Chrome trace event the replay reads. Args
+// uses pointers so "present with value 0" is distinguishable from
+// "absent".
 type latEvent struct {
 	Name string  `json:"name"`
 	Cat  string  `json:"cat"`
@@ -36,39 +40,17 @@ type latEvent struct {
 	PID  int     `json:"pid"`
 	ID   string  `json:"id"`
 	Args struct {
-		Node *int `json:"node"`
-		Proc *int `json:"proc"`
-		Seq  *int `json:"seq"`
-		Pd   *int `json:"pd"`
-		Hops *int `json:"hops"`
+		Node   *int    `json:"node"`
+		Proc   *int    `json:"proc"`
+		Seq    *int    `json:"seq"`
+		Pd     *int    `json:"pd"`
+		Hops   *int    `json:"hops"`
+		Reason *string `json:"reason"`
 	} `json:"args"`
 }
 
 // latKey is a sample's identity (Seq never resets, so it is unique).
 type latKey struct{ node, proc, seq int }
-
-// latRecord mirrors prov's in-flight record: the boundary instants and
-// leg accumulators of one sample's path.
-type latRecord struct {
-	genT, putT, getT, maxPut, fwdT, lastT float64
-	net, merge                            float64
-	hops                                  int
-	inTransit, hasGen, hasPut             bool
-	hasGet, hasFwd                        bool
-}
-
-// latRecon accumulates the reconstruction: per-stage dwell samples (for
-// exact sorted quantiles) plus path accounting.
-type latRecon struct {
-	dwells        [prov.NumStages][]float64
-	sums          [prov.NumStages]float64
-	delivered     int
-	lost          int
-	dropped       int
-	dup           int
-	incomplete    int
-	maxCloseErrUS float64
-}
 
 func parseFlowID(id string) (latKey, bool) {
 	var k latKey
@@ -78,234 +60,159 @@ func parseFlowID(id string) (latKey, bool) {
 	return k, true
 }
 
-// reconstructLatency replays a Chrome trace through the provenance stage
-// state machine. Events are processed in array order, which WriteChrome
-// guarantees is simulation-event order.
-func reconstructLatency(r io.Reader) (*latRecon, error) {
+// lossReason maps a "sample-lost" instant's reason label back to its
+// procs.LossReason (-1 when absent or unknown).
+func lossReason(label *string) procs.LossReason {
+	for r := procs.LossThinned; label != nil && r <= procs.LossGiveUp; r++ {
+		if r.String() == *label {
+			return r
+		}
+	}
+	return -1
+}
+
+// replayLatency feeds a Chrome trace to a fresh provenance engine and
+// also returns how many delivered paths it could not decompose. Events
+// are replayed in array order, which WriteChrome guarantees is
+// simulation-event order.
+func replayLatency(r io.Reader) (eng *prov.Engine, incomplete int, err error) {
 	var events []latEvent
 	if err := json.NewDecoder(r).Decode(&events); err != nil {
-		return nil, fmt.Errorf("not a trace-event JSON array: %w", err)
+		return nil, 0, fmt.Errorf("not a trace-event JSON array: %w", err)
 	}
 
-	// Pass 1: recover batch membership. All hops==1 forward steps of one
-	// message share (pd, ts); the latest pipe admission over the group is
-	// the maxPut that splits pipe dwell into residency and wait proper.
+	// Pass 1: generation instants, and first-hop batches. The engine
+	// needs a sample's generation time from its first hook, which for
+	// pipe events precedes the "s" flow start; and it needs each
+	// message's whole batch at once. All hops==1 forward steps of one
+	// message share (pd, ts).
 	type groupKey struct {
 		pd int
 		ts float64
 	}
-	groups := map[groupKey][]latKey{}
+	gen := map[latKey]float64{}
+	batches := map[groupKey][]resources.Sample{}
 	for _, e := range events {
-		if e.Ph == "t" && e.Name == "sample-forwarded" &&
-			e.Args.Hops != nil && *e.Args.Hops == 1 && e.Args.Pd != nil {
-			if k, ok := parseFlowID(e.ID); ok {
-				gk := groupKey{*e.Args.Pd, e.TS}
-				groups[gk] = append(groups[gk], k)
-			}
+		if e.Cat != "sampleflow" {
+			continue
 		}
+		k, ok := parseFlowID(e.ID)
+		if !ok {
+			continue
+		}
+		switch {
+		case e.Ph == "s":
+			gen[k] = e.TS
+		case e.Ph == "t" && e.Name == "sample-forwarded" &&
+			e.Args.Hops != nil && *e.Args.Hops == 1 && e.Args.Pd != nil:
+			gk := groupKey{*e.Args.Pd, e.TS}
+			batches[gk] = append(batches[gk], resources.Sample{Node: k.node, Proc: k.proc, Seq: k.seq, GenTime: gen[k]})
+		}
+	}
+	sample := func(k latKey) (resources.Sample, bool) {
+		t, ok := gen[k]
+		return resources.Sample{Node: k.node, Proc: k.proc, Seq: k.seq, GenTime: t}, ok
 	}
 
-	// Pass 2: replay the state machine in event order.
-	rc := &latRecon{}
-	recs := map[latKey]*latRecord{}
-	groupMax := map[groupKey]float64{}
-	get := func(k latKey) *latRecord {
-		if r, ok := recs[k]; ok {
-			return r
-		}
-		r := &latRecord{}
-		recs[k] = r
-		return r
-	}
+	// Pass 2: replay the engine calls in event order.
+	eng = prov.NewEngine()
+	closed := map[latKey]bool{} // delivered, or counted incomplete
+	var lost latEvent           // the latest "sample-lost" instant
 	for _, e := range events {
 		switch {
 		case e.Ph == "s" && e.Cat == "sampleflow":
-			k, ok := parseFlowID(e.ID)
-			if !ok {
-				continue
-			}
-			r := get(k)
-			r.genT = e.TS
-			r.hasGen = true
-			if !r.hasPut { // pipe hooks fire before generation in the write path
-				r.putT, r.maxPut = e.TS, e.TS
+			if k, ok := parseFlowID(e.ID); ok {
+				s, _ := sample(k)
+				eng.SampleGenerated(e.TS, s, false)
 			}
 		case e.Cat == "pipe" && e.Args.Node != nil && e.Args.Proc != nil && e.Args.Seq != nil:
-			k := latKey{*e.Args.Node, *e.Args.Proc, *e.Args.Seq}
+			s, ok := sample(latKey{*e.Args.Node, *e.Args.Proc, *e.Args.Seq})
+			if !ok {
+				continue // generated before the trace starts
+			}
 			switch e.Name {
 			case "pipe-put":
-				r := get(k)
-				r.putT, r.maxPut, r.hasPut = e.TS, e.TS, true
+				eng.PipePut(e.TS, s)
 			case "pipe-get":
-				r := get(k)
-				r.getT, r.hasGet = e.TS, true
+				eng.PipeGet(e.TS, s)
 			case "pipe-dropped":
-				if _, ok := recs[k]; ok {
-					delete(recs, k)
-					rc.dropped++
-				}
+				eng.PipeDropped(e.TS, s)
 			}
-		case e.Ph == "t" && e.Cat == "sampleflow" && e.Args.Hops != nil:
+		case e.Ph == "t" && e.Cat == "sampleflow" && e.Args.Hops != nil && e.Args.Pd != nil:
 			k, ok := parseFlowID(e.ID)
 			if !ok {
 				continue
 			}
-			r, open := recs[k]
-			if !open {
-				continue
-			}
-			hops := *e.Args.Hops
-			switch e.Name {
-			case "sample-forwarded":
-				if hops == 1 && e.Args.Pd != nil {
-					gk := groupKey{*e.Args.Pd, e.TS}
-					mp, seen := groupMax[gk]
-					if !seen {
-						for _, mk := range groups[gk] {
-							if mr, ok := recs[mk]; ok && mr.putT > mp {
-								mp = mr.putT
-							}
-						}
-						groupMax[gk] = mp
-					}
-					if !r.hasGet {
-						r.getT = e.TS
-					}
-					if !r.hasFwd { // first forward wins; retransmits re-occupy the net
-						r.hasFwd = true
-						r.fwdT = e.TS
-						if mp > r.maxPut {
-							r.maxPut = mp
-						}
-						r.lastT = e.TS
-						r.hops = 1
-						r.inTransit = true
-					}
-				} else if r.hasFwd && !r.inTransit && hops == r.hops+1 {
-					r.merge += e.TS - r.lastT
-					r.lastT = e.TS
-					r.hops = hops
-					r.inTransit = true
+			s, _ := sample(k)
+			pd, hops := *e.Args.Pd, *e.Args.Hops
+			switch {
+			case e.Name == "sample-forwarded" && hops == 1:
+				gk := groupKey{pd, e.TS}
+				if batch, ok := batches[gk]; ok { // first step of the message
+					delete(batches, gk)
+					eng.BatchForwarded(pd, e.TS, batch, 1)
 				}
-			case "sample-arrived":
-				if r.hasFwd && r.inTransit && hops == r.hops {
-					r.net += e.TS - r.lastT
-					r.lastT = e.TS
-					r.inTransit = false
-				}
+			case e.Name == "sample-forwarded":
+				eng.BatchForwarded(pd, e.TS, []resources.Sample{s}, hops)
+			case e.Name == "sample-arrived":
+				eng.BatchArrived(pd, e.TS, []resources.Sample{s}, hops)
 			}
+		case e.Ph == "i" && e.Name == "sample-lost":
+			lost = e
 		case e.Ph == "X" && e.Cat == "sample":
 			var proc, seq int
 			if _, err := fmt.Sscanf(e.Name, "sample p%d #%d", &proc, &seq); err != nil {
 				continue
 			}
 			k := latKey{e.PID - obs.ChromePIDSample, proc, seq}
-			r, open := recs[k]
-			if !open {
-				rc.dup++ // injected duplicate: first delivery already closed it
-				continue
-			}
-			delete(recs, k)
-			if !r.hasGen {
-				rc.incomplete++ // warmup-truncated path: not decomposable
-				continue
-			}
-			rc.closeDelivered(r, e.TS+e.Dur, e.Dur)
-		case e.Ph == "f" && e.Cat == "sampleflow":
-			// A flow end with the record still open is a loss (delivered
-			// paths were already closed by their "X" span just above).
-			if k, ok := parseFlowID(e.ID); ok {
-				if _, open := recs[k]; open {
-					delete(recs, k)
-					rc.lost++
+			s, ok := sample(k)
+			if !ok {
+				if !closed[k] { // warmup-truncated path: count it once
+					closed[k] = true
+					incomplete++
 				}
+				continue
+			}
+			closed[k] = true
+			eng.SampleDelivered(e.TS+e.Dur, s, e.Dur)
+		case e.Ph == "f" && e.Cat == "sampleflow":
+			// A flow ends at its first delivery or loss; one with no
+			// delivery before it is a loss.
+			if k, ok := parseFlowID(e.ID); ok && !closed[k] {
+				s, _ := sample(k)
+				node := 0
+				if lost.Args.Pd != nil {
+					node = *lost.Args.Pd
+				}
+				eng.SampleLost(node, e.TS, s, lossReason(lost.Args.Reason))
 			}
 		}
 	}
-	return rc, nil
+	return eng, incomplete, nil
 }
 
-// closeDelivered folds one delivered path into the six stages — the same
-// telescoping decomposition prov.Engine.SampleDelivered applies, so the
-// per-sample sum equals the recorded latency exactly.
-func (rc *latRecon) closeDelivered(r *latRecord, devT, latencyUS float64) {
-	if !r.hasFwd { // degenerate path: attribute everything to pipe-wait
-		r.fwdT, r.getT, r.maxPut, r.lastT = devT, devT, r.putT, devT
-	}
-	r.net += devT - r.lastT
-
-	var d [prov.NumStages]float64
-	d[prov.StagePipeWait] = (r.putT - r.genT) + (r.getT - r.maxPut)
-	d[prov.StageBatchResidency] = r.maxPut - r.putT
-	d[prov.StageDaemonService] = r.fwdT - r.getT
-	d[prov.StageNetworkTransit] = r.net
-	d[prov.StageMerge] = r.merge
-	d[prov.StageMainReceipt] = 0
-
-	sum := 0.0
-	for st, v := range d {
-		sum += v
-		if v < 0 {
-			v = 0 // float cancellation residue at zero-width stages
-		}
-		rc.dwells[st] = append(rc.dwells[st], v)
-		rc.sums[st] += v
-	}
-	if err := sum - latencyUS; err > rc.maxCloseErrUS || -err > rc.maxCloseErrUS {
-		if err < 0 {
-			err = -err
-		}
-		rc.maxCloseErrUS = err
-	}
-	rc.delivered++
-}
-
-// Rows summarizes the reconstruction as waterfall rows in stage order,
-// with exact sorted quantiles over the per-sample dwells.
-func (rc *latRecon) Rows() []report.StageRow {
-	total := 0.0
-	for _, s := range rc.sums {
-		total += s
-	}
-	rows := make([]report.StageRow, 0, prov.NumStages)
-	for st := prov.Stage(0); st < prov.NumStages; st++ {
-		row := report.StageRow{Stage: st.String()}
-		if xs := rc.dwells[st]; len(xs) > 0 {
-			row.MeanUS = rc.sums[st] / float64(len(xs))
-			row.P50US, _ = stats.Quantile(xs, 0.50)
-			row.P95US, _ = stats.Quantile(xs, 0.95)
-			row.P99US, _ = stats.Quantile(xs, 0.99)
-		}
-		if total > 0 {
-			row.SharePct = rc.sums[st] / total * 100
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// runLat is the -lat entry point: reconstruct and render.
+// runLat is the -lat entry point: replay and render.
 func runLat(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	rc, err := reconstructLatency(f)
+	eng, incomplete, err := replayLatency(f)
 	f.Close()
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	if rc.delivered == 0 {
+	if eng.Delivered() == 0 {
 		return fmt.Errorf("%s: no decomposable delivered samples in trace", path)
 	}
 	wf := report.Waterfall{
 		Title: fmt.Sprintf("latency decomposition reconstructed from %s", path),
-		Rows:  rc.Rows(),
+		Rows:  core.StageRows(core.StageLatencies(eng.Stages())),
 	}
 	if err := wf.Render(os.Stdout); err != nil {
 		return err
 	}
 	fmt.Printf("%d delivered samples decomposed (%d lost, %d dropped, %d duplicate deliveries, %d incomplete); max closure error %.3g us\n",
-		rc.delivered, rc.lost, rc.dropped, rc.dup, rc.incomplete, rc.maxCloseErrUS)
+		eng.Delivered(), eng.LostTotal(), eng.Dropped(), eng.DupDelivered(), incomplete, eng.MaxCloseErrUS())
 	return nil
 }

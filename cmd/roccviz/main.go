@@ -154,17 +154,7 @@ func main() {
 	}
 
 	if len(res.LatencyStages) > 0 {
-		wf := report.Waterfall{Title: "latency decomposition (per-stage dwell)"}
-		for _, s := range res.LatencyStages {
-			wf.Rows = append(wf.Rows, report.StageRow{
-				Stage:    s.Stage,
-				MeanUS:   s.MeanSec * 1e6,
-				P50US:    s.P50Sec * 1e6,
-				P95US:    s.P95Sec * 1e6,
-				P99US:    s.P99Sec * 1e6,
-				SharePct: s.SharePct,
-			})
-		}
+		wf := report.Waterfall{Title: "latency decomposition (per-stage dwell)", Rows: core.StageRows(res.LatencyStages)}
 		if err := wf.Render(os.Stdout); err != nil {
 			fatal("%v", err)
 		}

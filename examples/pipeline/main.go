@@ -46,17 +46,18 @@ func main() {
 
 	// 4. Attach the tracer to the simulation (Figure 29's setup, but the
 	// "system" is now the model).
-	rec, err := m.EnableTraceRecording(0)
+	tracer, err := m.EnableObservability(rocc.ObsOptions{Trace: true})
 	if err != nil {
 		log.Fatal(err)
 	}
 	res := m.Run()
+	simRecs := tracer.Sink.TraceRecords()
 	fmt.Printf("3. simulated: app %.2f s CPU, Pd %.2f s CPU over %.0f s\n",
 		res.AppCPUTimePerNodeSec, res.PdCPUTimePerNodeSec, res.DurationSec)
-	fmt.Printf("4. simulation trace: %d records\n", rec.Len())
+	fmt.Printf("4. simulation trace: %d records\n", len(simRecs))
 
 	// 5. Re-characterize and compare (Table 3).
-	c2, err := rocc.CharacterizeTrace(rec.Records())
+	c2, err := rocc.CharacterizeTrace(simRecs)
 	if err != nil {
 		log.Fatal(err)
 	}

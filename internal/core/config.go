@@ -148,8 +148,9 @@ type Config struct {
 
 	// Policy and BatchSize select CF or BF forwarding; CF forces an
 	// effective batch of one. They are the legacy closed-enum surface:
-	// Validate maps them onto the equivalent forward.Strategy when
-	// Strategy is nil, byte-identically to the pre-strategy model.
+	// when Strategy is nil, New hands every daemon the equivalent
+	// forward.FromPolicy strategy, byte-identically to the pre-strategy
+	// model.
 	Policy    forward.Policy
 	BatchSize int
 

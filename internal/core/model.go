@@ -65,14 +65,14 @@ const (
 	streamOther
 )
 
-// cloneStrategy hands each daemon its own strategy instance; nil (the
-// legacy Policy/BatchSize path) passes through so the daemon derives the
-// equivalent built-in itself.
-func cloneStrategy(s forward.Strategy) forward.Strategy {
-	if s == nil {
-		return nil
+// daemonStrategy hands each daemon its own forwarding strategy: a Clone
+// of Config.Strategy, or the built-in the legacy Policy/BatchSize pair
+// names when Strategy is nil.
+func daemonStrategy(cfg Config) forward.Strategy {
+	if cfg.Strategy == nil {
+		return forward.FromPolicy(cfg.Policy, cfg.BatchSize)
 	}
-	return s.Clone()
+	return cfg.Strategy.Clone()
 }
 
 func streamID(kind, node, idx int) uint64 {
@@ -224,9 +224,7 @@ func (m *Model) buildPerNode(master *rng.Stream) {
 			d := &procs.PdDaemon{
 				Sim: m.Sim, CPU: m.NodeCPUs[node], Net: m.Net,
 				R:            master.Derive(streamID(streamPd, node, k)),
-				Policy:       cfg.Policy,
-				BatchSize:    cfg.BatchSize,
-				Strategy:     cloneStrategy(cfg.Strategy),
+				Strategy:     daemonStrategy(cfg),
 				Cost:         cfg.Cost,
 				Node:         node,
 				FlushTimeout: cfg.FlushTimeout,
@@ -309,9 +307,7 @@ func (m *Model) buildSMP(master *rng.Stream) {
 		d := &procs.PdDaemon{
 			Sim: m.Sim, CPU: cpu, Net: m.Net,
 			R:            master.Derive(streamID(streamPd, 0, k)),
-			Policy:       cfg.Policy,
-			BatchSize:    cfg.BatchSize,
-			Strategy:     cloneStrategy(cfg.Strategy),
+			Strategy:     daemonStrategy(cfg),
 			Cost:         cfg.Cost,
 			Node:         0,
 			FlushTimeout: cfg.FlushTimeout,

@@ -32,11 +32,10 @@ type ObsOptions struct {
 // fault plan is active) the uplinks, plus — with Metrics — the engine
 // observer and periodic utilization/queue/pipe-depth samplers.
 //
-// Call after New and before Start/Run, at most once. Unlike
-// EnableTraceRecording (which mirrors the paper's single-node AIX tracer
-// and claims the same OnOccupancy hooks), the trace here covers all
-// nodes, so per-class totals match the run's Result accounting; the two
-// recorders are mutually exclusive on one model.
+// Call after New and before Start/Run, at most once. The trace covers
+// every node's CPU, the dedicated host and the network, so per-class
+// totals match the run's Result accounting; on a one-node model it is
+// the paper's Figure 29 setup (one application node plus the host).
 //
 // The samplers only read resource state; they never run model code or
 // draw random numbers, so an observed run produces the same Result as an

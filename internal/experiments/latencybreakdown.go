@@ -232,22 +232,6 @@ func RunLatencyBreakdown(opt Options, lb LatencyBreakdownOptions) ([]LatencyBrea
 	return cells, nil
 }
 
-// StageRows converts a point's stages to waterfall rows (seconds → µs).
-func (p LatencyBreakdownPoint) StageRows() []report.StageRow {
-	rows := make([]report.StageRow, 0, len(p.Stages))
-	for _, s := range p.Stages {
-		rows = append(rows, report.StageRow{
-			Stage:    s.Stage,
-			MeanUS:   s.MeanSec * 1e6,
-			P50US:    s.P50Sec * 1e6,
-			P95US:    s.P95Sec * 1e6,
-			P99US:    s.P99Sec * 1e6,
-			SharePct: s.SharePct,
-		})
-	}
-	return rows
-}
-
 func runExtLatencyBreakdown(w io.Writer, opt Options) error {
 	opt = opt.normalized()
 	lb := DefaultLatencyBreakdown()
@@ -277,7 +261,7 @@ func runExtLatencyBreakdown(w io.Writer, opt Options) error {
 		for _, p := range c.Points {
 			wf := report.Waterfall{
 				Title: fmt.Sprintf("%s / %s", c.Arch, p.Policy),
-				Rows:  p.StageRows(),
+				Rows:  core.StageRows(p.Stages),
 			}
 			if _, err := fmt.Fprintln(w); err != nil {
 				return err

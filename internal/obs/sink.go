@@ -169,9 +169,9 @@ var classPID = map[string]struct {
 // TraceRecords exports the occupancy spans in internal/trace.Record form,
 // sorted by start time, so rocctrace and the workload-characterization
 // pipeline can analyze a simulated run exactly like a measured AIX trace.
-// Unlike core.EnableTraceRecording (which mirrors the paper's one-node
-// tracer), this covers every CPU in the model: per-class totals therefore
-// match the run's aggregate Result accounting.
+// It covers every CPU in the model, so per-class totals match the run's
+// aggregate Result accounting. Owners outside the Table 1 classes keep
+// their own name as the label, in PID block 900.
 func (s *TraceSink) TraceRecords() []trace.Record {
 	recs := make([]trace.Record, 0, len(s.spans))
 	for _, sp := range s.spans {

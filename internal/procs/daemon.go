@@ -32,19 +32,16 @@ type PdDaemon struct {
 	Net *resources.Network
 	R   *rng.Stream
 
-	Pipes     []*resources.Pipe
-	Policy    forward.Policy
-	BatchSize int
-	Cost      forward.CostModel
-	Node      int
+	Pipes []*resources.Pipe
+	Cost  forward.CostModel
+	Node  int
 
 	// Strategy schedules forwarding: each time the daemon is free it asks
 	// the strategy whether to forward a batch, keep accumulating, or flush
 	// everything, and reports completion feedback for every batch it
-	// collects locally. Nil derives the strategy from the legacy
-	// Policy/BatchSize pair (CF forces batch 1), which reproduces the
-	// pre-strategy daemon byte for byte. Each daemon must own its instance
-	// (the model wires one Clone per daemon).
+	// collects locally. Required: the model resolves one per daemon
+	// (forward.FromPolicy for the legacy Config fields), and each daemon
+	// must own its instance.
 	Strategy forward.Strategy
 
 	// Deliver routes a fully transmitted message to its destination (the
@@ -102,25 +99,15 @@ func (d *PdDaemon) ResetAccounting() {
 	d.CrashLostSamples = 0
 }
 
-// Start registers the daemon's pipe wake-ups and resolves the forwarding
-// strategy (deriving it from the legacy Policy/BatchSize fields if none
-// was wired, and seeding cost-model-aware strategies).
+// Start registers the daemon's pipe wake-ups and seeds cost-model-aware
+// forwarding strategies.
 func (d *PdDaemon) Start() {
-	if cs, ok := d.strategy().(forward.CostSeeder); ok {
+	if cs, ok := d.Strategy.(forward.CostSeeder); ok {
 		cs.SeedFromCost(d.Cost)
 	}
 	for _, p := range d.Pipes {
 		p.SetOnData(d.Wake)
 	}
-}
-
-// strategy returns the daemon's forwarding strategy, deriving the legacy
-// one on first use.
-func (d *PdDaemon) strategy() forward.Strategy {
-	if d.Strategy == nil {
-		d.Strategy = forward.FromPolicy(d.Policy, d.BatchSize)
-	}
-	return d.Strategy
 }
 
 // Down reports whether the daemon is currently crashed.
@@ -231,13 +218,12 @@ func (d *PdDaemon) Wake() {
 		return
 	}
 	capTotal := d.capacity()
-	strat := d.strategy()
 	for {
 		avail := d.available()
 		if avail == 0 {
 			break
 		}
-		act, want := strat.Decide(d.Sim.Now(), avail, capTotal)
+		act, want := d.Strategy.Decide(d.Sim.Now(), avail, capTotal)
 		switch act {
 		case forward.Accumulate:
 			// Partial batch pending: arm the flush timer if configured.
@@ -341,7 +327,7 @@ func (d *PdDaemon) jobCPUDone(j *pdJob) {
 		d.MessagesMerged++
 		msg.Hops++
 	} else {
-		d.observe(d.strategy(), msg.Samples, int(j.capTotal))
+		d.observe(msg.Samples, int(j.capTotal))
 	}
 	d.send(j)
 	d.busy = false
@@ -362,7 +348,7 @@ func (d *PdDaemon) jobNetDone(j *pdJob) {
 // the strategy, at the simulated instant the message is handed to the
 // network. Every input is a simulated-clock or buffer-state quantity, so
 // feedback-driven strategies remain byte-reproducible.
-func (d *PdDaemon) observe(strat forward.Strategy, batch []resources.Sample, capTotal int) {
+func (d *PdDaemon) observe(batch []resources.Sample, capTotal int) {
 	now := d.Sim.Now()
 	newest, oldest := batch[0].GenTime, batch[0].GenTime
 	for _, s := range batch[1:] {
@@ -373,7 +359,7 @@ func (d *PdDaemon) observe(strat forward.Strategy, batch []resources.Sample, cap
 			oldest = s.GenTime
 		}
 	}
-	strat.Observe(forward.Feedback{
+	d.Strategy.Observe(forward.Feedback{
 		Now:         now,
 		Samples:     len(batch),
 		NewestAgeUS: now - newest,

@@ -151,9 +151,8 @@ func newDaemon(r *rig, policy forward.Policy, batch int) (*PdDaemon, *[]*forward
 	var delivered []*forward.Message
 	d := &PdDaemon{
 		Sim: r.sim, CPU: r.cpu, Net: r.net, R: rng.New(7),
-		Pipes:     []*resources.Pipe{r.pipe},
-		Policy:    policy,
-		BatchSize: batch,
+		Pipes:    []*resources.Pipe{r.pipe},
+		Strategy: forward.FromPolicy(policy, batch),
 		Cost: forward.CostModel{
 			PerMsgCPU:    rng.Constant{Value: 267},
 			PerSampleCPU: 8,
@@ -258,7 +257,7 @@ func TestDaemonBatchClampedToPipeCapacity(t *testing.T) {
 	if capTotal := d.capacity(); capTotal != 5 { // cap 4 + 1 blocked writer
 		t.Fatalf("capacity %d, want 5", capTotal)
 	}
-	if _, thr := d.strategy().Decide(0, 5, d.capacity()); thr != 5 {
+	if _, thr := d.Strategy.Decide(0, 5, d.capacity()); thr != 5 {
 		t.Fatalf("threshold %d, want 5", thr)
 	}
 }

@@ -42,8 +42,8 @@ type CPU struct {
 	free []*cpuReq
 
 	// OnOccupancy, if set, observes every completed occupancy slice
-	// (owner, slice start time, slice length) — the hook the simulation
-	// trace recorder uses to emit AIX-like records.
+	// (owner, slice start time, slice length) — the hook the obs trace
+	// sink uses to emit AIX-like records.
 	OnOccupancy func(owner string, start, length float64)
 }
 

@@ -61,6 +61,10 @@ type (
 	AppType = core.AppType
 	// Model is an assembled simulation (exposed for inspection).
 	Model = core.Model
+	// ObsOptions selects what Model.EnableObservability attaches: the
+	// trace sink (AIX-like records via Sink.TraceRecords, Chrome JSON),
+	// metrics, and per-sample provenance.
+	ObsOptions = core.ObsOptions
 )
 
 // Architectures.
