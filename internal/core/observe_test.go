@@ -2,12 +2,20 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"io"
 	"math"
 	"reflect"
 	"testing"
 
 	"rocc/internal/faults"
+	"rocc/internal/forward"
 	"rocc/internal/obs"
+	"rocc/internal/obs/live"
+	"rocc/internal/obs/prov"
+	"rocc/internal/resources"
 	"rocc/internal/trace"
 )
 
@@ -357,4 +365,119 @@ func TestSinkTraceUnknownOwnerLabel(t *testing.T) {
 		}
 	}
 	t.Fatal("unknown owner not recorded")
+}
+
+// digestConfigs are the seeded runs whose observability exports
+// TestObservabilityOutputDigests pins: a warmed-up NOW batch run, an MPP
+// tree (relay arrivals and merges), and a NOW chaos run that exercises
+// every loss path, DropOldest evictions, retransmission and degradation.
+func digestConfigs() []struct {
+	name string
+	cfg  Config
+} {
+	now := DefaultConfig()
+	now.Nodes = 4
+	now.SamplingPeriod = 8000
+	now.Policy = forward.BF
+	now.BatchSize = 16
+	now.Warmup = 5e5
+	now.Duration = 2e6
+	now.Seed = 1
+
+	tree := DefaultConfig()
+	tree.Arch = MPP
+	tree.Nodes = 16
+	tree.Forwarding = forward.Tree
+	tree.Policy = forward.CF
+	tree.Duration = 1e6
+	tree.Seed = 1
+
+	chaos := DefaultConfig()
+	chaos.Nodes = 8
+	chaos.SamplingPeriod = 2000
+	chaos.Policy = forward.BF
+	chaos.BatchSize = 8
+	chaos.Overflow = resources.DropOldest
+	chaos.PipeCapacity = 16
+	chaos.Duration = 2e6
+	chaos.Seed = 3
+	chaos.Faults = &faults.Plan{
+		Seed: 4, Loss: 0.1, Dup: 0.05, AckLoss: 0.05,
+		CrashMTBF: 6e5, SqueezeMTBF: 4e5,
+		Resilience: faults.Resilience{
+			Retransmit: true, RetryBudget: 2,
+			Degrade: true, PipeWatermark: 0.25, RetryWatermark: 2,
+		},
+	}
+	return []struct {
+		name string
+		cfg  Config
+	}{{"now-bf16-warmup", now}, {"mpp16-tree-cf", tree}, {"now8-chaos", chaos}}
+}
+
+// TestObservabilityOutputDigests pins every observability export of
+// three seeded runs byte for byte: the Chrome trace, the AIX-like text
+// trace, the OpenMetrics exposition (run registry plus every stage
+// histogram) and the provenance stage summaries. A refactor of the
+// observer plumbing must leave every digest unchanged.
+func TestObservabilityOutputDigests(t *testing.T) {
+	// Each entry: Chrome JSON, text trace, OpenMetrics, stage summaries.
+	want := map[string][4]string{
+		"now-bf16-warmup": {
+			"eb266fd3e6ce83d4369567d99f05dc8d00b1532aa20323fb26466b6d6125ec57",
+			"887622e90fe3a8b693bfdd0d5498cf1fb4183c8b8ed29842a9c3df06fc16e7de",
+			"cc9e66fbe63df311fca4ed00463ba8725abf3db43b2b250a96a674f23b47f51c",
+			"caa8759144603636c7a9f09b25445d96e38b6682a327db68d0c44e6b836d9c96",
+		},
+		"mpp16-tree-cf": {
+			"17fbbb6ce5b784e842fb455543ec751325150d0fed8bce9f10516ecd3525ad71",
+			"79ea2a316c6f6a3227dbad2ff7ba4c0c704659e7db753c0c6cf5024087e16ecb",
+			"00b23509c58d558ee4946327da72d8d3d32acf9e3e2e7adeb188c281fd2a2b86",
+			"1a5d5b469c3ff1ef600997bafb0d36b33c1eaf8597a821827a39980c95e99b71",
+		},
+		"now8-chaos": {
+			"d714b40fbe2a0015bf965bc8002b02d83bc3e7a994243ee569bee50a6b5ed09c",
+			"8b837d567cf4bbe25a007e22e1af913edad7850a8e95e584731fd086261c39e9",
+			"379137d6a9fa6a641d82bbcb4b5a74e99624483496c9868c42383d4cedc832c0",
+			"6d8934b29691a0f17c447183c670190646a304039b71472274cec87c58b609c6",
+		},
+	}
+	for _, tc := range digestConfigs() {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := m.EnableObservability(ObsOptions{Trace: true, Metrics: true, Provenance: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Run()
+			digest := func(write func(io.Writer) error) string {
+				h := sha256.New()
+				if err := write(h); err != nil {
+					t.Fatal(err)
+				}
+				return hex.EncodeToString(h.Sum(nil))
+			}
+			eng := m.Provenance()
+			exp := live.NewExporter()
+			exp.SetRun(c.Metrics)
+			for st := prov.Stage(0); st < prov.NumStages; st++ {
+				exp.AddHistogram(eng.Histogram(st), "per-sample dwell in stage "+st.String())
+			}
+			got := [4]string{
+				digest(c.Sink.WriteChrome),
+				digest(func(w io.Writer) error { return trace.WriteText(w, c.Sink.TraceRecords()) }),
+				digest(exp.WriteOpenMetrics),
+				digest(func(w io.Writer) error { return json.NewEncoder(w).Encode(eng.Stages()) }),
+			}
+			if eng.Delivered() == 0 {
+				t.Fatal("no deliveries decomposed")
+			}
+			if got != want[tc.name] {
+				t.Errorf("digests changed:\n got  %q\n want %q", got, want[tc.name])
+			}
+		})
+	}
 }

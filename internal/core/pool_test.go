@@ -13,7 +13,8 @@ import (
 // TestDaemonForwardCycleAllocFree pins the fault-free sample path: once
 // warm, one sample's trip — pipe, daemon drain, collection CPU, network,
 // Main.Receive (plus relay merges under tree forwarding), and back to the
-// model's message pool — allocates nothing.
+// model's message pool — allocates nothing, with or without the metrics
+// registry and the provenance engine observing it.
 func TestDaemonForwardCycleAllocFree(t *testing.T) {
 	direct := DefaultConfig()
 	direct.Nodes = 2
@@ -24,23 +25,40 @@ func TestDaemonForwardCycleAllocFree(t *testing.T) {
 	tree.Forwarding = forward.Tree
 
 	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{{"direct", direct}, {"tree", tree}} {
+		name     string
+		cfg      Config
+		observed bool
+	}{
+		{"direct", direct, false},
+		{"tree", tree, false},
+		{"direct-observed", direct, true},
+		{"tree-observed", tree, true},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Policy = forward.CF
 			m, err := New(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			run := m.Sim.RunAll
+			if tc.observed {
+				if _, err := m.EnableObservability(ObsOptions{Metrics: true, Provenance: true}); err != nil {
+					t.Fatal(err)
+				}
+				// The metrics sampler reschedules itself forever, so
+				// step a bounded window per sample instead of RunAll.
+				run = func() { m.Sim.Run(m.Sim.Now() + 5e4) }
+			}
 			// Only the leaf daemon runs: no application processes or
 			// background streams are started.
 			d := m.Daemons[len(m.Daemons)-1]
 			d.Start()
 			pipe := d.Pipes[0]
+			seq := 0
 			cycle := func() {
-				pipe.Put(resources.Sample{GenTime: m.Sim.Now()}, nil)
-				m.Sim.RunAll()
+				pipe.Put(resources.Sample{GenTime: m.Sim.Now(), Seq: seq}, nil)
+				seq++
+				run()
 			}
 			cycle()
 			if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
@@ -51,6 +69,9 @@ func TestDaemonForwardCycleAllocFree(t *testing.T) {
 			}
 			if m.msgs.Recycled() != m.Main.MessagesReceived {
 				t.Fatalf("recycled %d messages, main received %d", m.msgs.Recycled(), m.Main.MessagesReceived)
+			}
+			if eng := m.Provenance(); tc.observed && eng.Delivered() != 202 {
+				t.Fatalf("provenance decomposed %d samples, want 202", eng.Delivered())
 			}
 		})
 	}
