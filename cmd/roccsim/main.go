@@ -141,13 +141,13 @@ func main() {
 	var rep core.Replicated
 	if *traceOut != "" || *httpAddr != "" || *stages {
 		// Tracing, live monitoring, and stage decomposition require direct
-		// model access; single run with the full observability layer (all
-		// CPUs + sample lifecycle + metrics).
+		// model access: a single run with metrics, plus the trace sink
+		// only when -trace writes it and provenance only for -stages.
 		m, err := core.New(cfg)
 		if err != nil {
 			fatal("%v", err)
 		}
-		c, err := m.EnableObservability(core.ObsOptions{Trace: true, Metrics: true, Provenance: *stages})
+		c, err := m.EnableObservability(core.ObsOptions{Trace: *traceOut != "", Metrics: true, Provenance: *stages})
 		if err != nil {
 			fatal("%v", err)
 		}

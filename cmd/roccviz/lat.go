@@ -15,18 +15,19 @@ import (
 )
 
 // Offline latency decomposition: roccviz -lat decodes an exported Chrome
-// trace back into the calls the live provenance engine (internal/obs/prov)
-// received during the run and feeds them, in trace order, to a fresh
-// prov.Engine — no re-simulation and no second copy of the stage state
-// machine. WriteChrome's events carry every argument those calls need:
-// the "s" flow start is generation, pipe-put/pipe-get/pipe-dropped
-// instants name the sample, "sample-forwarded"/"sample-arrived" flow
-// steps carry the daemon and hop count, the delivered sample's "X" span
-// has ts = generation and dur = latency, and an "f" flow end with no
-// delivery is a loss (its reason on the "sample-lost" instant just
-// before it). A warmup-free trace therefore replays into exactly the
-// live engine's Stages(); deliveries whose generation precedes the trace
-// (warmup removal) are counted as incomplete and not decomposed.
+// trace back into the resources.Event stream the live provenance engine
+// (internal/obs/prov) observed during the run and feeds it, in trace
+// order, to a fresh prov.Engine — no re-simulation and no second copy of
+// the stage state machine. WriteChrome's events carry every field those
+// events need: the "s" flow start is generation,
+// pipe-put/pipe-get/pipe-dropped instants name the sample,
+// "sample-forwarded"/"sample-arrived" flow steps carry the daemon and hop
+// count, the delivered sample's "X" span has ts = generation and dur =
+// latency, and an "f" flow end with no delivery is a loss (its reason on
+// the "sample-lost" instant just before it). A warmup-free trace
+// therefore replays into exactly the live engine's Stages(); deliveries
+// whose generation precedes the trace (warmup removal) are counted as
+// incomplete and not decomposed.
 
 // latEvent is the subset of a Chrome trace event the replay reads. Args
 // uses pointers so "present with value 0" is distinguishable from
@@ -82,7 +83,7 @@ func replayLatency(r io.Reader) (eng *prov.Engine, incomplete int, err error) {
 	}
 
 	// Pass 1: generation instants, and first-hop batches. The engine
-	// needs a sample's generation time from its first hook, which for
+	// needs a sample's generation time from its first event, which for
 	// pipe events precedes the "s" flow start; and it needs each
 	// message's whole batch at once. All hops==1 forward steps of one
 	// message share (pd, ts).
@@ -114,7 +115,7 @@ func replayLatency(r io.Reader) (eng *prov.Engine, incomplete int, err error) {
 		return resources.Sample{Node: k.node, Proc: k.proc, Seq: k.seq, GenTime: t}, ok
 	}
 
-	// Pass 2: replay the engine calls in event order.
+	// Pass 2: replay the event stream in trace order.
 	eng = prov.NewEngine()
 	closed := map[latKey]bool{} // delivered, or counted incomplete
 	var lost latEvent           // the latest "sample-lost" instant
@@ -123,20 +124,17 @@ func replayLatency(r io.Reader) (eng *prov.Engine, incomplete int, err error) {
 		case e.Ph == "s" && e.Cat == "sampleflow":
 			if k, ok := parseFlowID(e.ID); ok {
 				s, _ := sample(k)
-				eng.SampleGenerated(e.TS, s, false)
+				eng.Observe(resources.Event{Kind: resources.EvSampleGenerated, T: e.TS, Sample: s})
 			}
 		case e.Cat == "pipe" && e.Args.Node != nil && e.Args.Proc != nil && e.Args.Seq != nil:
 			s, ok := sample(latKey{*e.Args.Node, *e.Args.Proc, *e.Args.Seq})
 			if !ok {
 				continue // generated before the trace starts
 			}
-			switch e.Name {
-			case "pipe-put":
-				eng.PipePut(e.TS, s)
-			case "pipe-get":
-				eng.PipeGet(e.TS, s)
-			case "pipe-dropped":
-				eng.PipeDropped(e.TS, s)
+			for _, kind := range []resources.EventKind{resources.EvPipePut, resources.EvPipeGet, resources.EvPipeDropped} {
+				if e.Name == kind.String() {
+					eng.Observe(resources.Event{Kind: kind, T: e.TS, Sample: s})
+				}
 			}
 		case e.Ph == "t" && e.Cat == "sampleflow" && e.Args.Hops != nil && e.Args.Pd != nil:
 			k, ok := parseFlowID(e.ID)
@@ -144,18 +142,21 @@ func replayLatency(r io.Reader) (eng *prov.Engine, incomplete int, err error) {
 				continue
 			}
 			s, _ := sample(k)
-			pd, hops := *e.Args.Pd, *e.Args.Hops
+			ev := resources.Event{Kind: resources.EvMessageForwarded, T: e.TS, Unit: *e.Args.Pd,
+				Batch: []resources.Sample{s}, Hops: *e.Args.Hops}
 			switch {
-			case e.Name == "sample-forwarded" && hops == 1:
-				gk := groupKey{pd, e.TS}
+			case e.Name == "sample-forwarded" && ev.Hops == 1:
+				gk := groupKey{ev.Unit, e.TS}
 				if batch, ok := batches[gk]; ok { // first step of the message
 					delete(batches, gk)
-					eng.BatchForwarded(pd, e.TS, batch, 1)
+					ev.Batch = batch
+					eng.Observe(ev)
 				}
 			case e.Name == "sample-forwarded":
-				eng.BatchForwarded(pd, e.TS, []resources.Sample{s}, hops)
+				eng.Observe(ev)
 			case e.Name == "sample-arrived":
-				eng.BatchArrived(pd, e.TS, []resources.Sample{s}, hops)
+				ev.Kind = resources.EvMessageReceived
+				eng.Observe(ev)
 			}
 		case e.Ph == "i" && e.Name == "sample-lost":
 			lost = e
@@ -174,17 +175,17 @@ func replayLatency(r io.Reader) (eng *prov.Engine, incomplete int, err error) {
 				continue
 			}
 			closed[k] = true
-			eng.SampleDelivered(e.TS+e.Dur, s, e.Dur)
+			eng.Observe(resources.Event{Kind: resources.EvSampleDelivered, T: e.TS + e.Dur, Sample: s, Dur: e.Dur})
 		case e.Ph == "f" && e.Cat == "sampleflow":
 			// A flow ends at its first delivery or loss; one with no
 			// delivery before it is a loss.
 			if k, ok := parseFlowID(e.ID); ok && !closed[k] {
 				s, _ := sample(k)
-				node := 0
+				ev := resources.Event{Kind: resources.EvSampleLost, T: e.TS, Sample: s, N: int(lossReason(lost.Args.Reason))}
 				if lost.Args.Pd != nil {
-					node = *lost.Args.Pd
+					ev.Unit = *lost.Args.Pd
 				}
-				eng.SampleLost(node, e.TS, s, lossReason(lost.Args.Reason))
+				eng.Observe(ev)
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 
 	"rocc/internal/obs"
 	"rocc/internal/obs/prov"
-	"rocc/internal/resources"
 )
 
 // ObsOptions selects which halves of the observability layer to attach.
@@ -26,11 +25,11 @@ type ObsOptions struct {
 	SampleIntervalUS float64
 }
 
-// EnableObservability wires an obs.Collector through the assembled model:
-// occupancy hooks on every CPU and the network, lifecycle observers on
-// every pipe, application process, daemon, the main process, and (when a
-// fault plan is active) the uplinks, plus — with Metrics — the engine
-// observer and periodic utilization/queue/pipe-depth samplers.
+// EnableObservability subscribes an obs.Collector to the model's event
+// stream: every pipe, application process, daemon, the main process and
+// (when a fault plan is active) the uplinks, plus — with Trace — every
+// CPU and the network. With Metrics it also counts engine dispatches and
+// runs periodic utilization/queue/pipe-depth samplers.
 //
 // Call after New and before Start/Run, at most once. The trace covers
 // every node's CPU, the dedicated host and the network, so per-class
@@ -54,21 +53,14 @@ func (m *Model) EnableObservability(o ObsOptions) (*obs.Collector, error) {
 	}
 	m.obsC = c
 
-	if c.Sink != nil {
-		hookCPU := func(unit int, cpu *resources.CPU) {
-			cpu.OnOccupancy = func(owner string, start, length float64) {
-				c.Occupancy(obs.OccCPU, unit, owner, start, length)
-			}
-		}
+	if c.Sink != nil { // only the trace sink keeps occupancy
 		for i, cpu := range m.NodeCPUs {
-			hookCPU(i, cpu)
+			cpu.SetObserver(i, c)
 		}
 		if m.dedicatedHost() {
-			hookCPU(len(m.NodeCPUs), m.HostCPU)
+			m.HostCPU.SetObserver(len(m.NodeCPUs), c)
 		}
-		m.Net.OnOccupancy = func(owner string, start, length float64) {
-			c.Occupancy(obs.OccNet, 0, owner, start, length)
-		}
+		m.Net.SetObserver(0, c)
 	}
 
 	for _, d := range m.Daemons {

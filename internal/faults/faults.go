@@ -298,10 +298,10 @@ func (inj *Injector) Totals() Totals {
 	return t
 }
 
-// SetObserver attaches a lifecycle observer to every uplink created so
-// far; retransmission attempts are reported to it. A nil observer
-// detaches.
-func (inj *Injector) SetObserver(o procs.Observer) {
+// SetObserver attaches an event observer to every uplink created so
+// far; retransmissions and link losses are reported to it. A nil
+// observer detaches.
+func (inj *Injector) SetObserver(o resources.Observer) {
 	for _, l := range inj.Links {
 		l.obs = o
 	}

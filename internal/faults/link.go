@@ -39,8 +39,9 @@ type Link struct {
 	// the retransmission timer covers the outage.
 	dst func(msg *forward.Message) bool
 
-	// obs, when non-nil, is notified of each retransmission attempt.
-	obs procs.Observer
+	// obs, when non-nil, receives the link's retransmission and loss
+	// events, with Unit set to the sending node.
+	obs resources.Observer
 
 	nextID    uint64
 	pending   map[uint64]*pendingMsg
@@ -122,11 +123,7 @@ func (l *Link) attempt(id uint64, msg *forward.Message, attempt int) {
 		l.LossInjected++
 		if l.pending == nil {
 			l.SamplesLost += len(msg.Samples) // unprotected: gone for good
-			if l.obs != nil {
-				for _, s := range msg.Samples {
-					l.obs.SampleLost(l.node, l.sim.Now(), s, procs.LossLink)
-				}
-			}
+			l.lose(procs.LossLink, msg.Samples...)
 		}
 	} else {
 		delay := des.Time(0)
@@ -171,10 +168,8 @@ func (l *Link) arrive(id uint64, msg *forward.Message) {
 		// SamplesLost counter deliberately stays untouched on the
 		// unprotected path (it predates this hook), but provenance needs
 		// the closure.
-		if l.pending == nil && l.obs != nil {
-			for _, s := range msg.Samples {
-				l.obs.SampleLost(l.node, l.sim.Now(), s, procs.LossCrash)
-			}
+		if l.pending == nil {
+			l.lose(procs.LossCrash, msg.Samples...)
 		}
 		return
 	}
@@ -225,18 +220,14 @@ func (l *Link) timeout(id uint64) {
 		delete(l.pending, id)
 		l.GiveUps++
 		l.SamplesLost += len(p.msg.Samples)
-		if l.obs != nil {
-			for _, s := range p.msg.Samples {
-				l.obs.SampleLost(l.node, l.sim.Now(), s, procs.LossGiveUp)
-			}
-		}
+		l.lose(procs.LossGiveUp, p.msg.Samples...)
 		return
 	}
 	p.attempts++
 	l.Retransmits++
 	attempt := p.attempts
 	if l.obs != nil {
-		l.obs.MessageRetransmitted(l.node, l.sim.Now(), attempt)
+		l.obs.Observe(resources.Event{Kind: resources.EvRetransmit, T: l.sim.Now(), Unit: l.node, N: attempt})
 	}
 	// The retransmission re-occupies the network for a fresh transit cost.
 	l.net.Submit(procs.OwnerPd, l.cost.MsgNet(l.costR, len(p.msg.Samples)), func() {
@@ -244,6 +235,16 @@ func (l *Link) timeout(id uint64) {
 			l.attempt(id, p.msg, attempt)
 		}
 	})
+}
+
+// lose reports samples that left the system on this link.
+func (l *Link) lose(reason procs.LossReason, samples ...resources.Sample) {
+	if l.obs == nil {
+		return
+	}
+	for _, s := range samples {
+		l.obs.Observe(resources.Event{Kind: resources.EvSampleLost, T: l.sim.Now(), Sample: s, Unit: l.node, N: int(reason)})
+	}
 }
 
 // cloneMsg deep-copies a message so an injected duplicate cannot alias

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"rocc/internal/des"
+	"rocc/internal/resources"
 )
 
 // Counter is a monotonically increasing count. Writes come from the
@@ -326,8 +327,9 @@ func (s *Series) Last() (t, v float64, ok bool) {
 
 // Metrics is the run's metric registry: fixed counters covering the
 // sample pipeline, the delivery-latency histogram, and any sampler
-// series. Everything is touched from the single simulation goroutine;
-// no locking.
+// series. Only the simulation goroutine writes it, but the live exporter
+// reads it mid-run, so counters are atomic and the histogram and series
+// lock.
 type Metrics struct {
 	Events        Counter // engine events dispatched
 	Generated     Counter // samples written by application processes
@@ -377,6 +379,34 @@ func (m *Metrics) Counters() []*Counter {
 		&m.Events, &m.Generated, &m.Delivered, &m.DeliveredMsgs, &m.Dropped,
 		&m.BlockedPuts, &m.Batches, &m.Forwards, &m.Retransmits, &m.Crashes,
 		&m.Lost,
+	}
+}
+
+// count updates the pipeline counters and the latency histogram for one
+// event of the stream.
+func (m *Metrics) count(e *resources.Event) {
+	switch e.Kind {
+	case resources.EvSampleGenerated:
+		m.Generated.Add(1)
+	case resources.EvSampleBlocked:
+		m.BlockedPuts.Add(1)
+	case resources.EvPipeDropped:
+		m.Dropped.Add(1)
+	case resources.EvBatchCollected:
+		m.Batches.Add(1)
+	case resources.EvMessageForwarded:
+		m.Forwards.Add(1)
+	case resources.EvMessageDelivered:
+		m.DeliveredMsgs.Add(1)
+	case resources.EvSampleDelivered:
+		m.Delivered.Add(1)
+		m.Latency.Observe(e.Dur)
+	case resources.EvSampleLost:
+		m.Lost.Add(1)
+	case resources.EvDaemonCrash:
+		m.Crashes.Add(1)
+	case resources.EvRetransmit:
+		m.Retransmits.Add(1)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package prov is the streaming per-sample provenance engine: it
-// consumes the sample-lifecycle hook fan-out (obs.FlowObserver) and folds
+// observes the simulation's event stream (resources.Event) and folds
 // each sample's path through the instrumentation system into a per-stage
 // dwell-time decomposition — where the paper's aggregate
 // generation→delivery latency (Figure 16) actually accrues.
@@ -35,18 +35,19 @@
 // high-water mark. All aggregation happens in simulation-event order —
 // no map iteration ever feeds a float accumulation — so output is
 // byte-deterministic at any worker count and event calendar. When
-// provenance is disabled the engine does not exist and every hook site is
-// one nil-check branch (pinned by the allocation tests).
+// provenance is disabled the engine does not exist and costs nothing;
+// attached, it allocates nothing per sample once its record pool is warm
+// (pinned by the allocation tests).
 //
 // # Fault interactions
 //
 // Thinning, daemon crashes, link losses, and exhausted retransmission
-// budgets all fire SampleLost, which closes the record without observing
-// stages. Injected duplicates on unprotected links deliver the same
-// sample twice: the first delivery closes the record; later deliveries
-// (or losses) of an already-closed identity are tallied as duplicates so
-// the engine's totals still reconcile exactly with the aggregate latency
-// histogram, which observes every delivery.
+// budgets all emit EvSampleLost, which closes the record without
+// observing stages. Injected duplicates on unprotected links deliver the
+// same sample twice: the first delivery closes the record; later
+// deliveries (or losses) of an already-closed identity are tallied as
+// duplicates so the engine's totals still reconcile exactly with the
+// aggregate latency histogram, which observes every delivery.
 package prov
 
 import (
@@ -164,9 +165,9 @@ type StageSummary struct {
 	SharePct float64
 }
 
-// Engine is the provenance engine. It implements obs.FlowObserver; wire
-// it as Collector.Flow. Not safe for concurrent use — it is fed from the
-// single simulation goroutine, like the trace sink.
+// Engine is the provenance engine. It implements resources.Observer;
+// wire it as Collector.Flow. Not safe for concurrent use — it is fed from
+// the single simulation goroutine, like the trace sink.
 type Engine struct {
 	recs map[key]*record
 	free []*record
@@ -174,7 +175,7 @@ type Engine struct {
 	hists [NumStages]*obs.Histogram
 	sums  [NumStages]float64
 
-	// Counters over the measured window (Reset clears them at the warmup
+	// Counters over the measured window (EvReset clears them at the warmup
 	// boundary; in-flight records survive, mirroring the model's latency
 	// accounting, which measures carryover samples from generation).
 	generated    uint64
@@ -200,9 +201,9 @@ func NewEngine() *Engine {
 }
 
 // get returns the identity's in-flight record, creating it from the pool
-// on first sight. Hook ordering is not assumed: the pipe hooks fire
-// before SampleGenerated in the application's write path, so any
-// identity-bearing hook may be the first — genT is always available as
+// on first sight. Event ordering is not assumed: the pipe events fire
+// before EvSampleGenerated in the application's write path, so any
+// identity-bearing event may be the first — genT is always available as
 // s.GenTime.
 func (e *Engine) get(s resources.Sample) *record {
 	k := key{s.Node, s.Proc, s.Seq}
@@ -238,40 +239,47 @@ func (e *Engine) close(s resources.Sample) (rec record, ok bool) {
 	return rec, true
 }
 
-// SampleGenerated implements obs.FlowObserver.
-func (e *Engine) SampleGenerated(t float64, s resources.Sample, blocked bool) {
-	e.get(s)
-	e.generated++
-}
-
-// PipePut implements obs.FlowObserver: pipe admission.
-func (e *Engine) PipePut(t float64, s resources.Sample) {
-	r := e.get(s)
-	r.putT = t
-	r.maxPut = t
-	r.hasPut = true
-}
-
-// PipeGet implements obs.FlowObserver: pipe drain.
-func (e *Engine) PipeGet(t float64, s resources.Sample) {
-	r := e.get(s)
-	r.getT = t
-	r.hasGet = true
-}
-
-// PipeDropped implements obs.FlowObserver: the sample died at a full
-// pipe; its record closes without stage observations.
-func (e *Engine) PipeDropped(t float64, s resources.Sample) {
-	if _, ok := e.close(s); ok {
-		e.dropped++
+// Observe implements resources.Observer: it folds one event into the
+// in-flight records. Generation and pipe admission open or update a
+// record, the pipe drain and each forward or relay arrival mark a path
+// boundary, and a drop, loss or delivery closes it. Other kinds carry no
+// sample boundary and are ignored.
+func (e *Engine) Observe(ev resources.Event) {
+	switch ev.Kind {
+	case resources.EvSampleGenerated:
+		e.get(ev.Sample)
+		e.generated++
+	case resources.EvPipePut:
+		r := e.get(ev.Sample)
+		r.putT = ev.T
+		r.maxPut = ev.T
+		r.hasPut = true
+	case resources.EvPipeGet:
+		r := e.get(ev.Sample)
+		r.getT = ev.T
+		r.hasGet = true
+	case resources.EvPipeDropped:
+		if _, ok := e.close(ev.Sample); ok {
+			e.dropped++
+		}
+	case resources.EvMessageForwarded:
+		e.forward(ev.T, ev.Batch, ev.Hops)
+	case resources.EvMessageReceived:
+		e.arrive(ev.T, ev.Batch, ev.Hops)
+	case resources.EvSampleDelivered:
+		e.deliver(ev.T, ev.Sample, ev.Dur)
+	case resources.EvSampleLost:
+		e.lose(ev.Sample, procs.LossReason(ev.N))
+	case resources.EvReset:
+		e.reset()
 	}
 }
 
-// BatchForwarded implements obs.FlowObserver. At the first hop the batch
-// defines maxPut — the latest pipe admission across the message — which
-// splits each member's pipe dwell into batch-residency and pipe-wait
-// proper. Relay re-forwards close a merge leg.
-func (e *Engine) BatchForwarded(node int, t float64, batch []resources.Sample, hops int) {
+// forward handles a daemon's network hand-off of batch. At the first hop
+// the batch defines maxPut — the latest pipe admission across the
+// message — which splits each member's pipe dwell into batch-residency
+// and pipe-wait proper. Relay re-forwards close a merge leg.
+func (e *Engine) forward(t float64, batch []resources.Sample, hops int) {
 	if hops == 1 {
 		maxPut := math.Inf(-1)
 		for _, s := range batch {
@@ -311,9 +319,9 @@ func (e *Engine) BatchForwarded(node int, t float64, batch []resources.Sample, h
 	}
 }
 
-// BatchArrived implements obs.FlowObserver: relay receipt closes one
+// arrive handles a relay daemon's receipt of batch: it closes one
 // network leg.
-func (e *Engine) BatchArrived(node int, t float64, batch []resources.Sample, hops int) {
+func (e *Engine) arrive(t float64, batch []resources.Sample, hops int) {
 	for _, s := range batch {
 		r, ok := e.recs[key{s.Node, s.Proc, s.Seq}]
 		if ok && r.hasFwd && r.inTransit && hops == r.hops {
@@ -324,13 +332,13 @@ func (e *Engine) BatchArrived(node int, t float64, batch []resources.Sample, hop
 	}
 }
 
-// SampleDelivered implements obs.FlowObserver: the path is complete. The
-// final network leg ends at the delivery instant; stages are observed and
+// deliver handles the sample's receipt at the main process: the path is
+// complete. The final network leg ends at the delivery instant; stages are observed and
 // the record is recycled. A delivery for an identity with no record is an
 // injected duplicate (the first delivery already closed it): it is
 // tallied separately so totals still reconcile with the aggregate latency
 // histogram, which observes every delivery.
-func (e *Engine) SampleDelivered(t float64, s resources.Sample, latencyUS float64) {
+func (e *Engine) deliver(t float64, s resources.Sample, latencyUS float64) {
 	r, ok := e.close(s)
 	if !ok {
 		e.dupDelivered++
@@ -377,11 +385,11 @@ func (e *Engine) observe(st Stage, v float64) {
 	e.sums[st] += v
 }
 
-// SampleLost implements obs.FlowObserver: the path ended without
-// delivery. The record closes without stage observations; a loss for an
-// already-closed identity (a duplicate dying after the original closed)
-// is tallied separately.
-func (e *Engine) SampleLost(node int, t float64, s resources.Sample, reason procs.LossReason) {
+// lose handles a sample that left the system without delivery. The
+// record closes without stage observations; a loss for an already-closed
+// identity (a duplicate dying after the original closed) is tallied
+// separately.
+func (e *Engine) lose(s resources.Sample, reason procs.LossReason) {
 	if _, ok := e.close(s); !ok {
 		e.dupLost++
 		return
@@ -391,11 +399,11 @@ func (e *Engine) SampleLost(node int, t float64, s resources.Sample, reason proc
 	}
 }
 
-// ResetAccounting implements obs.FlowObserver: warmup removal. All
-// aggregates clear; in-flight records survive, so a sample generated
-// during warmup but delivered in the measured window decomposes over its
-// full path — exactly how the model's latency accumulator measures it.
-func (e *Engine) ResetAccounting() {
+// reset handles EvReset, the warmup boundary. All aggregates clear;
+// in-flight records survive, so a sample generated during warmup but
+// delivered in the measured window decomposes over its full path —
+// exactly how the model's latency accumulator measures it.
+func (e *Engine) reset() {
 	for i := Stage(0); i < NumStages; i++ {
 		e.hists[i].Reset()
 		e.sums[i] = 0

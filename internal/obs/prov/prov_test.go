@@ -12,6 +12,36 @@ func sample(proc, seq int) resources.Sample {
 	return resources.Sample{GenTime: 10, Node: 0, Proc: proc, Seq: seq}
 }
 
+// Short names for the event kinds the engine folds.
+const (
+	gen  = resources.EvSampleGenerated
+	put  = resources.EvPipePut
+	get  = resources.EvPipeGet
+	drop = resources.EvPipeDropped
+	fwd  = resources.EvMessageForwarded
+	arr  = resources.EvMessageReceived
+)
+
+// ev is a sample event at time t.
+func ev(kind resources.EventKind, t float64, s resources.Sample) resources.Event {
+	return resources.Event{Kind: kind, T: t, Sample: s}
+}
+
+// msg is a daemon's forward or relay arrival of batch at depth hops.
+func msg(kind resources.EventKind, t float64, batch []resources.Sample, hops int) resources.Event {
+	return resources.Event{Kind: kind, T: t, Batch: batch, Hops: hops}
+}
+
+// delivered is the sample's receipt at the main process.
+func delivered(t float64, s resources.Sample, latencyUS float64) resources.Event {
+	return resources.Event{Kind: resources.EvSampleDelivered, T: t, Sample: s, Dur: latencyUS}
+}
+
+// lost is the sample leaving the system for reason.
+func lost(t float64, s resources.Sample, reason procs.LossReason) resources.Event {
+	return resources.Event{Kind: resources.EvSampleLost, T: t, Sample: s, N: int(reason)}
+}
+
 // Direct path with a blocked put and a two-sample batch: the decomposition
 // must reproduce each boundary delta exactly and telescope to the
 // measured latency.
@@ -20,16 +50,16 @@ func TestExactDecompositionDirectPath(t *testing.T) {
 	a, b := sample(0, 1), sample(1, 1)
 	b.GenTime = 14
 
-	e.SampleGenerated(10, a, true)
-	e.PipePut(12, a) // blocked for 2us
-	e.SampleGenerated(14, b, false)
-	e.PipePut(14, b)
-	e.PipeGet(30, a)
-	e.PipeGet(30, b)
+	e.Observe(ev(gen, 10, a))
+	e.Observe(ev(put, 12, a)) // blocked for 2us
+	e.Observe(ev(gen, 14, b))
+	e.Observe(ev(put, 14, b))
+	e.Observe(ev(get, 30, a))
+	e.Observe(ev(get, 30, b))
 	batch := []resources.Sample{a, b}
-	e.BatchForwarded(0, 35, batch, 1)
-	e.SampleDelivered(50, a, 40)
-	e.SampleDelivered(50, b, 36)
+	e.Observe(msg(fwd, 35, batch, 1))
+	e.Observe(delivered(50, a, 40))
+	e.Observe(delivered(50, b, 36))
 
 	// Sample a: pipe-wait (12-10)+(30-14)=18, batch-residency 14-12=2,
 	// daemon-service 35-30=5, network 50-35=15.
@@ -64,14 +94,14 @@ func TestExactDecompositionDirectPath(t *testing.T) {
 func TestTreePathMergeLeg(t *testing.T) {
 	e := NewEngine()
 	a := sample(0, 1)
-	e.SampleGenerated(10, a, false)
-	e.PipePut(10, a)
-	e.PipeGet(30, a)
+	e.Observe(ev(gen, 10, a))
+	e.Observe(ev(put, 10, a))
+	e.Observe(ev(get, 30, a))
 	batch := []resources.Sample{a}
-	e.BatchForwarded(0, 35, batch, 1)
-	e.BatchArrived(1, 40, batch, 1)   // leg 1: 5us
-	e.BatchForwarded(1, 44, batch, 2) // merge: 4us
-	e.SampleDelivered(50, a, 40)      // leg 2: 6us
+	e.Observe(msg(fwd, 35, batch, 1))
+	e.Observe(msg(arr, 40, batch, 1)) // leg 1: 5us
+	e.Observe(msg(fwd, 44, batch, 2)) // merge: 4us
+	e.Observe(delivered(50, a, 40))   // leg 2: 6us
 
 	ss := e.Stages()
 	if got := ss[StageNetworkTransit].SumUS; got != 11 {
@@ -91,14 +121,14 @@ func TestTreePathMergeLeg(t *testing.T) {
 func TestDuplicateCopiesDoNotCorrupt(t *testing.T) {
 	e := NewEngine()
 	a := sample(0, 1)
-	e.SampleGenerated(10, a, false)
-	e.PipePut(10, a)
-	e.PipeGet(30, a)
+	e.Observe(ev(gen, 10, a))
+	e.Observe(ev(put, 10, a))
+	e.Observe(ev(get, 30, a))
 	batch := []resources.Sample{a}
-	e.BatchForwarded(0, 35, batch, 1)
-	e.SampleDelivered(50, a, 40) // original closes the record
-	e.SampleDelivered(55, a, 45) // duplicate copy arrives later
-	e.SampleLost(0, 60, a, procs.LossCrash)
+	e.Observe(msg(fwd, 35, batch, 1))
+	e.Observe(delivered(50, a, 40)) // original closes the record
+	e.Observe(delivered(55, a, 45)) // duplicate copy arrives later
+	e.Observe(lost(60, a, procs.LossCrash))
 
 	if e.Delivered() != 1 || e.DupDelivered() != 1 || e.DupLost() != 1 {
 		t.Fatalf("delivered %d dup %d duplost %d", e.Delivered(), e.DupDelivered(), e.DupLost())
@@ -116,16 +146,16 @@ func TestDuplicateCopiesDoNotCorrupt(t *testing.T) {
 func TestHopGuardRejectsStaleCopies(t *testing.T) {
 	e := NewEngine()
 	a := sample(0, 1)
-	e.SampleGenerated(10, a, false)
-	e.PipePut(10, a)
-	e.PipeGet(30, a)
+	e.Observe(ev(gen, 10, a))
+	e.Observe(ev(put, 10, a))
+	e.Observe(ev(get, 30, a))
 	batch := []resources.Sample{a}
-	e.BatchForwarded(0, 35, batch, 1)
-	e.BatchArrived(1, 40, batch, 1)
-	e.BatchArrived(1, 42, batch, 1)   // dup arrival at same depth: ignored
-	e.BatchForwarded(1, 44, batch, 2) // merge 4us
-	e.BatchForwarded(1, 46, batch, 2) // dup re-forward: ignored
-	e.SampleDelivered(50, a, 40)
+	e.Observe(msg(fwd, 35, batch, 1))
+	e.Observe(msg(arr, 40, batch, 1))
+	e.Observe(msg(arr, 42, batch, 1)) // dup arrival at same depth: ignored
+	e.Observe(msg(fwd, 44, batch, 2)) // merge 4us
+	e.Observe(msg(fwd, 46, batch, 2)) // dup re-forward: ignored
+	e.Observe(delivered(50, a, 40))
 
 	ss := e.Stages()
 	if got := ss[StageMerge].SumUS; got != 4 {
@@ -144,12 +174,12 @@ func TestLossAndDropAccounting(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 4; i++ {
 		s := sample(0, i)
-		e.SampleGenerated(10, s, false)
-		e.PipePut(10, s)
+		e.Observe(ev(gen, 10, s))
+		e.Observe(ev(put, 10, s))
 	}
-	e.SampleLost(0, 20, sample(0, 0), procs.LossThinned)
-	e.SampleLost(0, 21, sample(0, 1), procs.LossCrash)
-	e.PipeDropped(22, sample(0, 2))
+	e.Observe(lost(20, sample(0, 0), procs.LossThinned))
+	e.Observe(lost(21, sample(0, 1), procs.LossCrash))
+	e.Observe(ev(drop, 22, sample(0, 2)))
 	if e.Lost(procs.LossThinned) != 1 || e.Lost(procs.LossCrash) != 1 || e.Dropped() != 1 {
 		t.Fatalf("loss accounting: thinned %d crash %d dropped %d",
 			e.Lost(procs.LossThinned), e.Lost(procs.LossCrash), e.Dropped())
@@ -169,11 +199,11 @@ func TestRecordPoolRecycles(t *testing.T) {
 	e := NewEngine()
 	drive := func(seq int) {
 		s := sample(0, seq)
-		e.SampleGenerated(10, s, false)
-		e.PipePut(10, s)
-		e.PipeGet(12, s)
-		e.BatchForwarded(0, 13, []resources.Sample{s}, 1)
-		e.SampleDelivered(20, s, 10)
+		e.Observe(ev(gen, 10, s))
+		e.Observe(ev(put, 10, s))
+		e.Observe(ev(get, 12, s))
+		e.Observe(msg(fwd, 13, []resources.Sample{s}, 1))
+		e.Observe(delivered(20, s, 10))
 	}
 	drive(0)
 	if e.PoolSize() != 1 {
@@ -191,22 +221,22 @@ func TestRecordPoolRecycles(t *testing.T) {
 	}
 }
 
-// ResetAccounting clears aggregates but keeps in-flight records (warmup
+// EvReset clears aggregates but keeps in-flight records (warmup
 // carryover) and preserves histogram identity for live exporters.
 func TestResetKeepsInFlightAndHistogramIdentity(t *testing.T) {
 	e := NewEngine()
 	h := e.Histogram(StagePipeWait)
 	a, b := sample(0, 1), sample(0, 2)
 	b.GenTime = 15
-	e.SampleGenerated(10, a, false)
-	e.PipePut(10, a)
-	e.PipeGet(12, a)
-	e.BatchForwarded(0, 13, []resources.Sample{a}, 1)
-	e.SampleDelivered(20, a, 10)
-	e.SampleGenerated(15, b, false) // still in flight at reset
-	e.PipePut(15, b)
+	e.Observe(ev(gen, 10, a))
+	e.Observe(ev(put, 10, a))
+	e.Observe(ev(get, 12, a))
+	e.Observe(msg(fwd, 13, []resources.Sample{a}, 1))
+	e.Observe(delivered(20, a, 10))
+	e.Observe(ev(gen, 15, b)) // still in flight at reset
+	e.Observe(ev(put, 15, b))
 
-	e.ResetAccounting()
+	e.Observe(resources.Event{Kind: resources.EvReset})
 	if e.Delivered() != 0 || e.StageSumUS() != 0 || e.Generated() != 0 {
 		t.Fatal("aggregates survived reset")
 	}
@@ -220,9 +250,9 @@ func TestResetKeepsInFlightAndHistogramIdentity(t *testing.T) {
 		t.Fatal("histogram content survived reset")
 	}
 	// The carryover sample decomposes over its full path.
-	e.PipeGet(30, b)
-	e.BatchForwarded(0, 31, []resources.Sample{b}, 1)
-	e.SampleDelivered(40, b, 25)
+	e.Observe(ev(get, 30, b))
+	e.Observe(msg(fwd, 31, []resources.Sample{b}, 1))
+	e.Observe(delivered(40, b, 25))
 	if e.Delivered() != 1 || math.Abs(e.StageSumUS()-25) > 1e-9 {
 		t.Fatalf("carryover decomposition: delivered %d stage sum %v", e.Delivered(), e.StageSumUS())
 	}

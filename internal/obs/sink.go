@@ -6,109 +6,35 @@ import (
 	"io"
 
 	"rocc/internal/procs"
+	"rocc/internal/resources"
 	"rocc/internal/trace"
-)
-
-// OccKind selects the resource an occupancy span occupied.
-type OccKind int
-
-const (
-	// OccCPU is a CPU scheduler dispatch (one quantum-bounded slice).
-	OccCPU OccKind = iota
-	// OccNet is one network transfer.
-	OccNet
 )
 
 // OccSpan is one resource-occupancy interval: the simulated counterpart of
 // an AIX kernel-trace record, tagged with which CPU (unit) produced it.
 type OccSpan struct {
-	Kind    OccKind
-	Unit    int // CPU index (node order, host CPU last); 0 for the network
+	Kind    resources.EventKind // EvCPUSlice or EvNetTransfer
+	Unit    int                 // CPU index (node order, host CPU last); 0 for the network
 	Owner   string
 	StartUS float64
 	DurUS   float64
 }
 
-// EventKind classifies a sample-lifecycle event.
-type EventKind int
-
-const (
-	EvSampleGenerated EventKind = iota
-	EvSampleBlocked
-	EvPipePut
-	EvPipeBlocked
-	EvPipeDropped
-	EvPipeGet
-	EvBatchCollected
-	EvMessageForwarded
-	EvMessageDelivered
-	EvSampleDelivered
-	EvDaemonCrash
-	EvDaemonRestore
-	EvRetransmit
-	// EvSampleForwarded/EvSampleArrived carry per-sample identity through
-	// the forwarding path (Unit is the daemon's node) so a sample's hops
-	// are reconstructible from the trace; EvSampleLost closes the path for
-	// samples that never reach the main process (N is the
-	// procs.LossReason).
-	EvSampleForwarded
-	EvSampleArrived
-	EvSampleLost
-)
-
-// String implements fmt.Stringer.
-func (k EventKind) String() string {
-	switch k {
-	case EvSampleGenerated:
-		return "sample-generated"
-	case EvSampleBlocked:
-		return "sample-blocked"
-	case EvPipePut:
-		return "pipe-put"
-	case EvPipeBlocked:
-		return "pipe-blocked"
-	case EvPipeDropped:
-		return "pipe-dropped"
-	case EvPipeGet:
-		return "pipe-get"
-	case EvBatchCollected:
-		return "batch-collected"
-	case EvMessageForwarded:
-		return "message-forwarded"
-	case EvMessageDelivered:
-		return "message-delivered"
-	case EvSampleDelivered:
-		return "sample-delivered"
-	case EvDaemonCrash:
-		return "daemon-crash"
-	case EvDaemonRestore:
-		return "daemon-restore"
-	case EvRetransmit:
-		return "retransmit"
-	case EvSampleForwarded:
-		return "sample-forwarded"
-	case EvSampleArrived:
-		return "sample-arrived"
-	case EvSampleLost:
-		return "sample-lost"
-	}
-	return fmt.Sprintf("EventKind(%d)", int(k))
-}
-
-// Event is one sample-lifecycle event. Field use varies by Kind:
+// Record is the sink's compact stored form of one lifecycle event. Field
+// use varies by Kind:
 //
 //   - Node/Proc/Seq identify the sample for per-sample kinds (generated,
-//     pipe put/block/drop/get, delivered) and the daemon's node for
-//     daemon-scoped kinds (batch, forward, crash, restore, retransmit).
-//   - Unit is the pipe ID for pipe events.
+//     pipe put/block/drop/get, delivered, lost) and Node is the daemon's
+//     node for daemon-scoped kinds (batch, forward, crash, restore,
+//     retransmit).
+//   - Unit is the pipe ID for pipe kinds and the daemon's node for
+//     EvSampleForwarded, EvSampleArrived and EvSampleLost.
 //   - DurUS is the end-to-end latency for EvSampleDelivered (whose TUS is
-//     the sample's generation time, so the event renders as a span).
-//   - N is a kind-specific count: pipe depth after put/get, 1 for a
-//     DropOldest eviction (0 for an arrival drop), samples per batch or
-//     message, samples lost in a crash, or the retransmit attempt number.
-//   - Hops is the forwarding hop count (tree depth) for message kinds.
-type Event struct {
-	Kind  EventKind
+//     the sample's generation time, so the record renders as a span).
+//   - N and Hops are the event's count and forwarding depth (see
+//     resources.Event).
+type Record struct {
+	Kind  resources.EventKind
 	TUS   float64
 	DurUS float64
 	Unit  int
@@ -119,22 +45,46 @@ type Event struct {
 	Hops  int
 }
 
-// TraceSink records occupancy spans and lifecycle events from one run.
+// TraceSink records occupancy spans and lifecycle records from one run.
 // It is filled synchronously from the single simulation goroutine; no
 // locking. Exporters read it after the run.
 type TraceSink struct {
 	spans  []OccSpan
-	events []Event
+	events []Record
 }
 
 // NewTraceSink returns an empty sink.
 func NewTraceSink() *TraceSink { return &TraceSink{} }
 
-func (s *TraceSink) addSpan(kind OccKind, unit int, owner string, start, length float64) {
-	s.spans = append(s.spans, OccSpan{Kind: kind, Unit: unit, Owner: owner, StartUS: start, DurUS: length})
+// add stores one event of the stream: occupancy kinds as spans, message
+// kinds as one record per sample (plus the message's own record when
+// forwarded), everything else as one record.
+func (s *TraceSink) add(e *resources.Event) {
+	switch e.Kind {
+	case resources.EvCPUSlice, resources.EvNetTransfer:
+		s.spans = append(s.spans, OccSpan{Kind: e.Kind, Unit: e.Unit, Owner: e.Owner, StartUS: e.T - e.Dur, DurUS: e.Dur})
+	case resources.EvMessageForwarded:
+		s.events = append(s.events, Record{Kind: e.Kind, TUS: e.T, Node: e.Unit, N: len(e.Batch), Hops: e.Hops})
+		s.addSamples(resources.EvSampleForwarded, e)
+	case resources.EvMessageReceived:
+		s.addSamples(resources.EvSampleArrived, e)
+	case resources.EvBatchCollected, resources.EvDaemonCrash, resources.EvDaemonRestore, resources.EvRetransmit:
+		s.events = append(s.events, Record{Kind: e.Kind, TUS: e.T, Node: e.Unit, N: e.N})
+	case resources.EvSampleDelivered:
+		smp := e.Sample
+		s.events = append(s.events, Record{Kind: e.Kind, TUS: smp.GenTime, DurUS: e.Dur, Node: smp.Node, Proc: smp.Proc, Seq: smp.Seq})
+	default:
+		smp := e.Sample
+		s.events = append(s.events, Record{Kind: e.Kind, TUS: e.T, Unit: e.Unit, Node: smp.Node, Proc: smp.Proc, Seq: smp.Seq, N: e.N, Hops: e.Hops})
+	}
 }
 
-func (s *TraceSink) addEvent(e Event) { s.events = append(s.events, e) }
+// addSamples stores one kind record per sample of a message event.
+func (s *TraceSink) addSamples(kind resources.EventKind, e *resources.Event) {
+	for _, smp := range e.Batch {
+		s.events = append(s.events, Record{Kind: kind, TUS: e.T, Unit: e.Unit, Node: smp.Node, Proc: smp.Proc, Seq: smp.Seq, Hops: e.Hops})
+	}
+}
 
 // Reset discards everything recorded so far (warmup removal).
 func (s *TraceSink) Reset() {
@@ -146,11 +96,11 @@ func (s *TraceSink) Reset() {
 // mutate).
 func (s *TraceSink) Spans() []OccSpan { return s.spans }
 
-// Events returns the recorded lifecycle events (the sink's own slice; do
+// Events returns the recorded lifecycle records (the sink's own slice; do
 // not mutate).
-func (s *TraceSink) Events() []Event { return s.events }
+func (s *TraceSink) Events() []Record { return s.events }
 
-// Len returns the total number of recorded spans and events.
+// Len returns the total number of recorded spans and records.
 func (s *TraceSink) Len() int { return len(s.spans) + len(s.events) }
 
 // classPID maps a resource-accounting owner class to the Table 1 trace
@@ -180,7 +130,7 @@ func (s *TraceSink) TraceRecords() []trace.Record {
 			info.label, info.base = sp.Owner, 900
 		}
 		res := trace.CPU
-		if sp.Kind == OccNet {
+		if sp.Kind == resources.EvNetTransfer {
 			res = trace.Network
 		}
 		recs = append(recs, trace.Record{
@@ -276,14 +226,14 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 	}
 	gen := map[string]bool{}
 	for _, e := range s.events {
-		if e.Kind == EvSampleGenerated {
+		if e.Kind == resources.EvSampleGenerated {
 			gen[flowID(e.Node, e.Proc, e.Seq)] = true
 		}
 	}
 	ended := map[string]bool{}
 	for _, sp := range s.spans {
 		pid, cat := chromePIDNet, "net"
-		if sp.Kind == OccCPU {
+		if sp.Kind == resources.EvCPUSlice {
 			pid, cat = chromePIDCPU+sp.Unit, "cpu"
 			name(pid, fmt.Sprintf("cpu %d", sp.Unit))
 		} else {
@@ -297,7 +247,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 	}
 	for _, e := range s.events {
 		switch e.Kind {
-		case EvSampleGenerated:
+		case resources.EvSampleGenerated:
 			pid := ChromePIDSample + e.Node
 			name(pid, fmt.Sprintf("node %d samples", e.Node))
 			events = append(events, chromeEvent{
@@ -311,7 +261,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 				ID:   flowID(e.Node, e.Proc, e.Seq),
 				Args: map[string]any{"node": e.Node, "proc": e.Proc, "seq": e.Seq},
 			})
-		case EvSampleForwarded, EvSampleArrived:
+		case resources.EvSampleForwarded, resources.EvSampleArrived:
 			id := flowID(e.Node, e.Proc, e.Seq)
 			if !gen[id] {
 				continue
@@ -323,7 +273,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 				TS: e.TUS, PID: pid, TID: 1, ID: id,
 				Args: map[string]any{"pd": e.Unit, "hops": e.Hops},
 			})
-		case EvSampleLost:
+		case resources.EvSampleLost:
 			pid := ChromePIDSample + e.Node
 			name(pid, fmt.Sprintf("node %d samples", e.Node))
 			events = append(events, chromeEvent{
@@ -339,7 +289,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 					TS: e.TUS, PID: pid, TID: 1, ID: id, BP: "e",
 				})
 			}
-		case EvSampleDelivered:
+		case resources.EvSampleDelivered:
 			pid := ChromePIDSample + e.Node
 			name(pid, fmt.Sprintf("node %d samples", e.Node))
 			events = append(events, chromeEvent{
@@ -357,7 +307,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 					TS: e.TUS + e.DurUS, PID: pid, TID: 1 + e.Proc, ID: id, BP: "e",
 				})
 			}
-		case EvPipePut, EvPipeBlocked, EvPipeDropped, EvPipeGet:
+		case resources.EvPipePut, resources.EvPipeBlocked, resources.EvPipeDropped, resources.EvPipeGet:
 			pid := chromePIDPipe + e.Unit
 			name(pid, fmt.Sprintf("pipe %d", e.Unit))
 			events = append(events, chromeEvent{

@@ -2,22 +2,37 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"rocc/internal/procs"
 	"rocc/internal/resources"
 	"rocc/internal/trace"
 )
 
-func TestTraceRecordsRoundTrip(t *testing.T) {
-	s := NewTraceSink()
-	s.addSpan(OccCPU, 0, procs.OwnerApp, 0, 100)
-	s.addSpan(OccCPU, 1, procs.OwnerPd, 50, 30)
-	s.addSpan(OccNet, 0, procs.OwnerPd, 80, 20)
-	s.addSpan(OccCPU, 0, procs.OwnerMain, 200, 10)
+// occ is a completed occupancy slice of length dur starting at start.
+func occ(kind resources.EventKind, unit int, owner string, start, dur float64) resources.Event {
+	return resources.Event{Kind: kind, T: start + dur, Dur: dur, Unit: unit, Owner: owner}
+}
 
-	recs := s.TraceRecords()
+// The sink stores the compact record, not the stream event: trace
+// memory dominates an observed run's allocation.
+func TestRecordStaysCompact(t *testing.T) {
+	if n := unsafe.Sizeof(Record{}); n > 72 {
+		t.Fatalf("Record is %d bytes, want at most 72", n)
+	}
+}
+
+func TestTraceRecordsRoundTrip(t *testing.T) {
+	c := NewCollector(true, false)
+	c.Observe(occ(resources.EvCPUSlice, 0, procs.OwnerApp, 0, 100))
+	c.Observe(occ(resources.EvCPUSlice, 1, procs.OwnerPd, 50, 30))
+	c.Observe(occ(resources.EvNetTransfer, 0, procs.OwnerPd, 80, 20))
+	c.Observe(occ(resources.EvCPUSlice, 0, procs.OwnerMain, 200, 10))
+
+	recs := c.Sink.TraceRecords()
 	if len(recs) != 4 {
 		t.Fatalf("got %d records, want 4", len(recs))
 	}
@@ -59,15 +74,15 @@ func TestTraceRecordsRoundTrip(t *testing.T) {
 
 func TestWriteChromeValidates(t *testing.T) {
 	c := NewCollector(true, false)
-	c.Occupancy(OccCPU, 0, procs.OwnerApp, 0, 100)
-	c.Occupancy(OccNet, 0, procs.OwnerPd, 100, 25)
+	c.Observe(occ(resources.EvCPUSlice, 0, procs.OwnerApp, 0, 100))
+	c.Observe(occ(resources.EvNetTransfer, 0, procs.OwnerPd, 100, 25))
 	sample := resources.Sample{GenTime: 10, Node: 0, Proc: 2, Seq: 7}
-	c.SampleGenerated(10, sample, false)
-	c.PipePut(3, 10, sample, 1)
-	c.PipeGet(3, 40, sample, 0)
-	c.SampleDelivered(120, sample, 110)
-	c.DaemonCrashed(1, 130, 4)
-	c.DaemonRestored(1, 150)
+	c.Observe(resources.Event{Kind: resources.EvSampleGenerated, T: 10, Sample: sample})
+	c.Observe(resources.Event{Kind: resources.EvPipePut, T: 10, Unit: 3, Sample: sample, N: 1})
+	c.Observe(resources.Event{Kind: resources.EvPipeGet, T: 40, Unit: 3, Sample: sample, N: 0})
+	c.Observe(resources.Event{Kind: resources.EvSampleDelivered, T: 120, Sample: sample, Dur: 110})
+	c.Observe(resources.Event{Kind: resources.EvDaemonCrash, T: 130, Unit: 1, N: 4})
+	c.Observe(resources.Event{Kind: resources.EvDaemonRestore, T: 150, Unit: 1})
 
 	var buf bytes.Buffer
 	if err := c.Sink.WriteChrome(&buf); err != nil {
@@ -103,19 +118,19 @@ func TestWriteChromeFlowPath(t *testing.T) {
 	b := resources.Sample{GenTime: 12, Node: 0, Proc: 0, Seq: 2}
 	ghost := resources.Sample{GenTime: 1, Node: 0, Proc: 0, Seq: 0} // not generated in-trace
 
-	c.SampleGenerated(10, a, false)
-	c.SampleGenerated(12, b, false)
-	c.PipePut(0, 10, a, 1)
-	c.PipePut(0, 12, b, 2)
-	c.PipeGet(0, 20, a, 1)
-	c.PipeGet(0, 20, b, 0)
+	c.Observe(resources.Event{Kind: resources.EvSampleGenerated, T: 10, Sample: a})
+	c.Observe(resources.Event{Kind: resources.EvSampleGenerated, T: 12, Sample: b})
+	c.Observe(resources.Event{Kind: resources.EvPipePut, T: 10, Unit: 0, Sample: a, N: 1})
+	c.Observe(resources.Event{Kind: resources.EvPipePut, T: 12, Unit: 0, Sample: b, N: 2})
+	c.Observe(resources.Event{Kind: resources.EvPipeGet, T: 20, Unit: 0, Sample: a, N: 1})
+	c.Observe(resources.Event{Kind: resources.EvPipeGet, T: 20, Unit: 0, Sample: b, N: 0})
 	batch := []resources.Sample{a, b, ghost}
-	c.MessageForwarded(0, 25, batch, 1)
-	c.MessageReceived(1, 30, batch, 1)
-	c.MessageForwarded(1, 33, batch, 2)
-	c.SampleDelivered(40, a, 30)
-	c.SampleDelivered(41, a, 31) // injected duplicate: no second flow end
-	c.SampleLost(1, 41, b, procs.LossCrash)
+	c.Observe(resources.Event{Kind: resources.EvMessageForwarded, T: 25, Unit: 0, Batch: batch, Hops: 1})
+	c.Observe(resources.Event{Kind: resources.EvMessageReceived, T: 30, Unit: 1, Batch: batch, Hops: 1})
+	c.Observe(resources.Event{Kind: resources.EvMessageForwarded, T: 33, Unit: 1, Batch: batch, Hops: 2})
+	c.Observe(resources.Event{Kind: resources.EvSampleDelivered, T: 40, Sample: a, Dur: 30})
+	c.Observe(resources.Event{Kind: resources.EvSampleDelivered, T: 41, Sample: a, Dur: 31}) // injected duplicate: no second flow end
+	c.Observe(resources.Event{Kind: resources.EvSampleLost, T: 41, Unit: 1, Sample: b, N: int(procs.LossCrash)})
 
 	var buf bytes.Buffer
 	if err := c.Sink.WriteChrome(&buf); err != nil {
@@ -170,15 +185,16 @@ func TestValidateChromeRejectsGarbage(t *testing.T) {
 func TestCollectorMetricsCounters(t *testing.T) {
 	c := NewCollector(false, true)
 	sample := resources.Sample{GenTime: 1, Node: 0, Proc: 0, Seq: 0}
-	c.SampleGenerated(1, sample, true)
-	c.PipeDropped(0, 2, sample, false)
-	c.BatchCollected(0, 3, 8)
-	c.MessageForwarded(0, 4, []resources.Sample{sample}, 1)
-	c.MessageDelivered(5, 8, 1)
-	c.SampleDelivered(5, sample, 4)
-	c.SampleLost(0, 6, resources.Sample{Seq: 9}, procs.LossThinned)
-	c.DaemonCrashed(0, 6, 2)
-	c.MessageRetransmitted(0, 7, 1)
+	c.Observe(resources.Event{Kind: resources.EvSampleGenerated, T: 1, Sample: sample})
+	c.Observe(resources.Event{Kind: resources.EvSampleBlocked, T: 1, Sample: sample})
+	c.Observe(resources.Event{Kind: resources.EvPipeDropped, T: 2, Unit: 0, Sample: sample})
+	c.Observe(resources.Event{Kind: resources.EvBatchCollected, T: 3, Unit: 0, N: 8})
+	c.Observe(resources.Event{Kind: resources.EvMessageForwarded, T: 4, Unit: 0, Batch: []resources.Sample{sample}, Hops: 1})
+	c.Observe(resources.Event{Kind: resources.EvMessageDelivered, T: 5, N: 8, Hops: 1})
+	c.Observe(resources.Event{Kind: resources.EvSampleDelivered, T: 5, Sample: sample, Dur: 4})
+	c.Observe(resources.Event{Kind: resources.EvSampleLost, T: 6, Unit: 0, Sample: resources.Sample{Seq: 9}, N: int(procs.LossThinned)})
+	c.Observe(resources.Event{Kind: resources.EvDaemonCrash, T: 6, Unit: 0, N: 2})
+	c.Observe(resources.Event{Kind: resources.EvRetransmit, T: 7, Unit: 0, N: 1})
 	m := c.Metrics
 	for _, tc := range []struct {
 		name string
@@ -209,10 +225,17 @@ func TestCollectorMetricsCounters(t *testing.T) {
 	}
 }
 
+// observerFunc adapts a function to resources.Observer.
+type observerFunc func(resources.Event)
+
+func (f observerFunc) Observe(e resources.Event) { f(e) }
+
 func TestResetAccountingClearsSink(t *testing.T) {
 	c := NewCollector(true, true)
-	c.Occupancy(OccCPU, 0, procs.OwnerApp, 0, 10)
-	c.SampleGenerated(1, resources.Sample{}, false)
+	var flow []resources.EventKind
+	c.Flow = observerFunc(func(e resources.Event) { flow = append(flow, e.Kind) })
+	c.Observe(occ(resources.EvCPUSlice, 0, procs.OwnerApp, 0, 10))
+	c.Observe(resources.Event{Kind: resources.EvSampleGenerated, T: 1, Sample: resources.Sample{}})
 	c.Metrics.Generated.Add(1)
 	c.ResetAccounting()
 	if c.Sink.Len() != 0 {
@@ -220,5 +243,10 @@ func TestResetAccountingClearsSink(t *testing.T) {
 	}
 	if c.Metrics.Generated.Value() != 0 {
 		t.Fatal("metrics survived ResetAccounting")
+	}
+	// The flow observer sees the stream, then the warmup boundary.
+	want := []resources.EventKind{resources.EvCPUSlice, resources.EvSampleGenerated, resources.EvReset}
+	if !reflect.DeepEqual(flow, want) {
+		t.Fatalf("flow saw %v, want %v", flow, want)
 	}
 }

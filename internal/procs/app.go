@@ -80,8 +80,9 @@ type AppProcess struct {
 
 	Node, ID int
 
-	// Obs, when non-nil, receives sample-generation notifications.
-	Obs Observer
+	// Obs, when non-nil, receives EvSampleGenerated events (and
+	// EvSampleBlocked when the write stalls on a full pipe).
+	Obs resources.Observer
 
 	// Generated counts samples produced (including ones that blocked).
 	Generated int
@@ -236,7 +237,7 @@ func (a *AppProcess) emitSample() {
 		a.BlockedPuts++
 	}
 	if a.Obs != nil {
-		a.Obs.SampleGenerated(s.GenTime, s, !accepted)
+		a.observe(s, !accepted)
 	}
 }
 
@@ -247,6 +248,15 @@ func (a *AppProcess) newSample() resources.Sample {
 	a.sampleSeq++
 	a.Generated++
 	return s
+}
+
+// observe reports a written sample, and its stall on a full pipe, to
+// the attached observer (callers check a.Obs).
+func (a *AppProcess) observe(s resources.Sample, blocked bool) {
+	a.Obs.Observe(resources.Event{Kind: resources.EvSampleGenerated, T: s.GenTime, Sample: s})
+	if blocked {
+		a.Obs.Observe(resources.Event{Kind: resources.EvSampleBlocked, T: s.GenTime, Sample: s})
+	}
 }
 
 func (a *AppProcess) maybeBarrierThenStep() {
@@ -273,7 +283,7 @@ func (a *AppProcess) sampleTick() {
 	s := a.newSample()
 	accepted := a.Pipe.Put(s, a.unblockTick)
 	if a.Obs != nil {
-		a.Obs.SampleGenerated(s.GenTime, s, !accepted)
+		a.observe(s, !accepted)
 	}
 	if accepted {
 		a.Sim.Schedule(a.SamplingPeriod, a.tickFn)

@@ -22,10 +22,10 @@ import (
 // inert in the fault-free baseline.
 //
 // Each message comes from a pool (see Messages) and its sample buffer is
-// the batch handed to Obs. The model recycles the message after main
-// receipt on its direct delivery path, so observers must not keep a
-// batch slice. The work on one message runs as a pdJob drawn from the
-// daemon's free list.
+// the Batch of the events handed to Obs. The model recycles the message
+// after main receipt on its direct delivery path, so observers must not
+// keep a batch slice. The work on one message runs as a pdJob drawn from
+// the daemon's free list.
 type PdDaemon struct {
 	Sim *des.Simulator
 	CPU *resources.CPU
@@ -60,8 +60,9 @@ type PdDaemon struct {
 	// everything.
 	Thinning int
 
-	// Obs, when non-nil, receives batch/forward/crash notifications.
-	Obs Observer
+	// Obs, when non-nil, receives the daemon's batch, message, loss and
+	// crash events, with Unit set to Node.
+	Obs resources.Observer
 
 	// Messages supplies the messages, and their sample buffers, that
 	// drain fills. The model shares one pool among its daemons. Nil
@@ -129,19 +130,13 @@ func (d *PdDaemon) Crash() {
 	for i := 0; i < d.relayQ.Len(); i++ {
 		m := *d.relayQ.At(i)
 		lost += len(m.Samples)
-		if d.Obs != nil {
-			for _, s := range m.Samples {
-				d.Obs.SampleLost(d.Node, d.Sim.Now(), s, LossCrash)
-			}
-		}
+		d.lose(LossCrash, m.Samples...)
 	}
 	d.CrashLostSamples += lost
 	d.relayQ.Clear()
 	d.cancelFlush()
 	d.busy = false
-	if d.Obs != nil {
-		d.Obs.DaemonCrashed(d.Node, d.Sim.Now(), lost)
-	}
+	d.emit(resources.Event{Kind: resources.EvDaemonCrash, N: lost})
 }
 
 // Restore brings a crashed daemon back up; it resumes draining its pipes.
@@ -150,10 +145,23 @@ func (d *PdDaemon) Restore() {
 		return
 	}
 	d.down = false
-	if d.Obs != nil {
-		d.Obs.DaemonRestored(d.Node, d.Sim.Now())
-	}
+	d.emit(resources.Event{Kind: resources.EvDaemonRestore})
 	d.Wake()
+}
+
+// emit reports one daemon event, stamped with the time and the node.
+func (d *PdDaemon) emit(e resources.Event) {
+	if d.Obs != nil {
+		e.T, e.Unit = d.Sim.Now(), d.Node
+		d.Obs.Observe(e)
+	}
+}
+
+// lose reports samples leaving the system at this daemon.
+func (d *PdDaemon) lose(reason LossReason, samples ...resources.Sample) {
+	for _, s := range samples {
+		d.emit(resources.Event{Kind: resources.EvSampleLost, Sample: s, N: int(reason)})
+	}
 }
 
 // capacity returns the daemon's total buffering — pipe capacities plus
@@ -180,16 +188,10 @@ func (d *PdDaemon) available() int {
 func (d *PdDaemon) Receive(msg *forward.Message) {
 	if d.down {
 		d.CrashLostSamples += len(msg.Samples)
-		if d.Obs != nil {
-			for _, s := range msg.Samples {
-				d.Obs.SampleLost(d.Node, d.Sim.Now(), s, LossCrash)
-			}
-		}
+		d.lose(LossCrash, msg.Samples...)
 		return
 	}
-	if d.Obs != nil {
-		d.Obs.MessageReceived(d.Node, d.Sim.Now(), msg.Samples, msg.Hops)
-	}
+	d.emit(resources.Event{Kind: resources.EvMessageReceived, Batch: msg.Samples, Hops: msg.Hops})
 	d.relayQ.Push(msg)
 	d.Wake()
 }
@@ -315,11 +317,7 @@ func (d *PdDaemon) jobCPUDone(j *pdJob) {
 	msg := j.msg
 	if d.epoch != j.epoch { // crashed mid-collection or mid-merge
 		d.CrashLostSamples += len(msg.Samples)
-		if d.Obs != nil {
-			for _, s := range msg.Samples {
-				d.Obs.SampleLost(d.Node, d.Sim.Now(), s, LossCrash)
-			}
-		}
+		d.lose(LossCrash, msg.Samples...)
 		d.releaseJob(j)
 		return
 	}
@@ -417,16 +415,16 @@ func (d *PdDaemon) drain(want int) *forward.Message {
 		for _, s := range out {
 			if d.thinSeq%d.Thinning == 0 {
 				kept = append(kept, s)
-			} else if d.Obs != nil {
-				d.Obs.SampleLost(d.Node, d.Sim.Now(), s, LossThinned)
+			} else {
+				d.lose(LossThinned, s)
 			}
 			d.thinSeq++
 		}
 		d.SamplesThinned += len(out) - len(kept)
 		out = kept
 	}
-	if d.Obs != nil && len(out) > 0 {
-		d.Obs.BatchCollected(d.Node, d.Sim.Now(), len(out))
+	if len(out) > 0 {
+		d.emit(resources.Event{Kind: resources.EvBatchCollected, N: len(out)})
 	}
 	msg.Samples = out
 	return msg
@@ -438,9 +436,7 @@ func (d *PdDaemon) send(j *pdJob) {
 	msg := j.msg
 	d.MessagesForwarded++
 	d.SamplesForwarded += len(msg.Samples)
-	if d.Obs != nil {
-		d.Obs.MessageForwarded(d.Node, d.Sim.Now(), msg.Samples, msg.Hops)
-	}
+	d.emit(resources.Event{Kind: resources.EvMessageForwarded, Batch: msg.Samples, Hops: msg.Hops})
 	netLen := d.Cost.MsgNet(d.R, len(msg.Samples))
 	j.onNet = true
 	d.Net.Submit(OwnerPd, netLen, j.step)

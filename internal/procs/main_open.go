@@ -19,9 +19,9 @@ type MainProcess struct {
 
 	CPUDist rng.Dist // per-message processing demand
 
-	// Obs, when non-nil, receives per-sample and per-message delivery
-	// notifications.
-	Obs Observer
+	// Obs, when non-nil, receives an EvSampleDelivered event per sample
+	// and an EvMessageDelivered event per message.
+	Obs resources.Observer
 
 	// Latency accumulates per-sample monitoring latency in microseconds.
 	Latency stats.Accumulator
@@ -70,7 +70,7 @@ func (m *MainProcess) Receive(msg *forward.Message) {
 			newest = s.GenTime
 		}
 		if m.Obs != nil {
-			m.Obs.SampleDelivered(now, s, lat)
+			m.Obs.Observe(resources.Event{Kind: resources.EvSampleDelivered, T: now, Sample: s, Dur: lat})
 		}
 	}
 	if len(msg.Samples) > 0 {
@@ -80,7 +80,7 @@ func (m *MainProcess) Receive(msg *forward.Message) {
 	m.MessagesReceived++
 	m.HopsTotal += msg.Hops
 	if m.Obs != nil {
-		m.Obs.MessageDelivered(now, len(msg.Samples), msg.Hops)
+		m.Obs.Observe(resources.Event{Kind: resources.EvMessageDelivered, T: now, N: len(msg.Samples), Hops: msg.Hops})
 	}
 	m.CPU.Submit(OwnerMain, m.CPUDist.Sample(m.R), nil)
 }

@@ -6,8 +6,6 @@
 // arrival streams of the PVM daemon and other user/system processes.
 package procs
 
-import "rocc/internal/resources"
-
 // Owner-class labels used for resource-occupancy accounting. Direct IS
 // overhead is the occupancy attributed to OwnerPd plus OwnerMain.
 const (
@@ -19,8 +17,9 @@ const (
 )
 
 // LossReason classifies why a sample left the system without reaching
-// the main process. The provenance engine uses it to close in-flight
-// records; the trace sink records it on EvSampleLost events.
+// the main process. It travels as the N of a resources.EvSampleLost
+// event: the provenance engine closes in-flight records by it and the
+// trace sink labels losses with it.
 type LossReason int
 
 const (
@@ -51,49 +50,4 @@ func (r LossReason) String() string {
 	default:
 		return "unknown"
 	}
-}
-
-// Observer receives sample-lifecycle notifications from the process
-// models: the full path of instrumentation data from generation at an
-// application process to receipt at the main Paradyn process, plus
-// daemon fault events. All times are simulated microseconds. Every hook
-// site is nil-guarded, so an unattached observer costs one branch.
-//
-// Implementations must only record — they must not call back into the
-// process models or the simulator. Batch slices passed to
-// MessageForwarded and MessageReceived are owned by the caller and must
-// not be retained past the call: they are the sample buffers of pooled
-// messages, which the model recycles once the message has been received
-// by the main process.
-type Observer interface {
-	// SampleGenerated fires when an application process writes a sample;
-	// blocked reports that the write stalled on a full pipe (§4.3.3).
-	SampleGenerated(t float64, s resources.Sample, blocked bool)
-	// BatchCollected fires when a daemon finishes draining one batch of
-	// samples from its local pipes (after degradation thinning).
-	BatchCollected(node int, t float64, samples int)
-	// MessageForwarded fires when a daemon starts transmitting a message
-	// carrying batch; hops is the message's forwarding depth so far.
-	MessageForwarded(node int, t float64, batch []resources.Sample, hops int)
-	// MessageReceived fires when a relay daemon accepts a message from a
-	// child for merging (tree forwarding only; direct-to-main delivery
-	// fires MessageDelivered instead).
-	MessageReceived(node int, t float64, batch []resources.Sample, hops int)
-	// MessageDelivered fires when the main process receives a message.
-	MessageDelivered(t float64, samples, hops int)
-	// SampleDelivered fires once per sample in a received message with the
-	// sample's end-to-end monitoring latency.
-	SampleDelivered(t float64, s resources.Sample, latencyUS float64)
-	// SampleLost fires once per sample that leaves the system without
-	// reaching the main process; node is the daemon (or link endpoint)
-	// where the loss happened.
-	SampleLost(node int, t float64, s resources.Sample, reason LossReason)
-	// DaemonCrashed fires when a daemon goes down; lostSamples counts the
-	// in-memory samples discarded at the crash instant.
-	DaemonCrashed(node int, t float64, lostSamples int)
-	// DaemonRestored fires when a crashed daemon comes back up.
-	DaemonRestored(node int, t float64)
-	// MessageRetransmitted fires when a resilient uplink retries an
-	// unacknowledged message; attempt counts from 1.
-	MessageRetransmitted(node int, t float64, attempt int)
 }

@@ -41,10 +41,10 @@ type CPU struct {
 	// state.
 	free []*cpuReq
 
-	// OnOccupancy, if set, observes every completed occupancy slice
-	// (owner, slice start time, slice length) — the hook the obs trace
-	// sink uses to emit AIX-like records.
-	OnOccupancy func(owner string, start, length float64)
+	// obs, if set, receives an EvCPUSlice event per completed slice (the
+	// trace sink's AIX-like records); unit is the CPU's Unit in them.
+	obs  Observer
+	unit int
 }
 
 type cpuReq struct {
@@ -70,6 +70,10 @@ func NewCPU(sim *des.Simulator, cores int, quantum float64) *CPU {
 	}
 	return &CPU{sim: sim, cores: cores, quantum: quantum}
 }
+
+// SetObserver attaches an event observer; unit identifies this CPU in
+// its events. A nil observer detaches.
+func (c *CPU) SetObserver(unit int, o Observer) { c.unit, c.obs = unit, o }
 
 // Submit enqueues a CPU occupancy request of the given length for owner.
 // onDone runs when the request has received its full service demand; it may
@@ -117,8 +121,8 @@ func (c *CPU) complete(req *cpuReq) {
 	slice := req.slice
 	c.busy.add(req.owner, slice)
 	c.busyTotal += slice
-	if c.OnOccupancy != nil {
-		c.OnOccupancy(req.owner, c.sim.Now()-slice, slice)
+	if c.obs != nil {
+		c.obs.Observe(Event{Kind: EvCPUSlice, T: c.sim.Now(), Dur: slice, Unit: c.unit, Owner: req.owner})
 	}
 	req.remaining -= slice
 	c.running--

@@ -33,9 +33,10 @@ type Network struct {
 	// steady state.
 	free []*netReq
 
-	// OnOccupancy, if set, observes every completed transfer (owner,
-	// start time, length) for trace recording.
-	OnOccupancy func(owner string, start, length float64)
+	// obs, if set, receives an EvNetTransfer event per completed
+	// transfer; unit is the network's Unit in them.
+	obs  Observer
+	unit int
 }
 
 type netReq struct {
@@ -50,6 +51,10 @@ type netReq struct {
 func NewNetwork(sim *des.Simulator, contended bool) *Network {
 	return &Network{sim: sim, contended: contended}
 }
+
+// SetObserver attaches an event observer; unit identifies this network
+// in its events. A nil observer detaches.
+func (n *Network) SetObserver(unit int, o Observer) { n.unit, n.obs = unit, o }
 
 // Contended reports the service discipline.
 func (n *Network) Contended() bool { return n.contended }
@@ -117,8 +122,8 @@ func (n *Network) account(owner string, length float64) {
 	n.busy.vals[i] += length
 	n.busy.counts[i]++
 	n.busyTotal += length
-	if n.OnOccupancy != nil {
-		n.OnOccupancy(owner, n.sim.Now()-length, length)
+	if n.obs != nil {
+		n.obs.Observe(Event{Kind: EvNetTransfer, T: n.sim.Now(), Dur: length, Unit: n.unit, Owner: owner})
 	}
 }
 

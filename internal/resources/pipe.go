@@ -20,16 +20,6 @@ type Sample struct {
 	Seq int
 }
 
-// PipeObserver receives pipe-level lifecycle notifications for tracing.
-// depth is the buffered-sample count after the operation; oldest marks a
-// DropOldest eviction (false for a discarded arrival).
-type PipeObserver interface {
-	PipePut(pipe int, t float64, s Sample, depth int)
-	PipeBlocked(pipe int, t float64, s Sample)
-	PipeDropped(pipe int, t float64, s Sample, oldest bool)
-	PipeGet(pipe int, t float64, s Sample, depth int)
-}
-
 // OverflowPolicy selects what a Pipe does with a Put when it is full.
 type OverflowPolicy int
 
@@ -80,10 +70,9 @@ type Pipe struct {
 	// clock, if set, timestamps blocked writers for wait-time accounting.
 	clock func() des.Time
 
-	// obs, if set, receives put/block/drop/get notifications; obsID
-	// identifies this pipe in them. Nil-guarded: costs one branch per
-	// operation when tracing is off.
-	obs   PipeObserver
+	// obs, if set, receives put/block/drop/get events; obsID identifies
+	// this pipe in them.
+	obs   Observer
 	obsID int
 
 	// dropped counts samples discarded for any reason (TryPut on a full
@@ -122,9 +111,16 @@ func (p *Pipe) SetClock(fn func() des.Time) { p.clock = fn }
 // SetPolicy selects the overflow policy (default Block).
 func (p *Pipe) SetPolicy(policy OverflowPolicy) { p.policy = policy }
 
-// SetObserver attaches a lifecycle observer; id identifies this pipe in
-// the callbacks. A nil observer detaches.
-func (p *Pipe) SetObserver(id int, o PipeObserver) { p.obsID, p.obs = id, o }
+// SetObserver attaches an event observer; id is the pipe's Unit in its
+// events. A nil observer detaches.
+func (p *Pipe) SetObserver(id int, o Observer) { p.obsID, p.obs = id, o }
+
+// emit reports one pipe event to the attached observer (callers check
+// p.obs, keeping an unobserved pipe to one branch); n is the kind's
+// count (see Event).
+func (p *Pipe) emit(kind EventKind, s Sample, n int) {
+	p.obs.Observe(Event{Kind: kind, T: p.now(), Sample: s, Unit: p.obsID, N: n})
+}
 
 // Policy returns the overflow policy.
 func (p *Pipe) Policy() OverflowPolicy { return p.policy }
@@ -229,7 +225,7 @@ func (p *Pipe) Put(s Sample, onAccepted func()) bool {
 		p.dropped++
 		p.droppedNew++
 		if p.obs != nil {
-			p.obs.PipeDropped(p.obsID, p.now(), s, false)
+			p.emit(EvPipeDropped, s, 0)
 		}
 		return true
 	case DropOldest:
@@ -237,14 +233,14 @@ func (p *Pipe) Put(s Sample, onAccepted func()) bool {
 		p.dropped++
 		p.droppedOld++
 		if p.obs != nil {
-			p.obs.PipeDropped(p.obsID, p.now(), evicted, true)
+			p.emit(EvPipeDropped, evicted, 1)
 		}
 		p.accept(s)
 		return true
 	}
 	p.blocked.Push(blockedPut{s: s, onAccepted: onAccepted, since: p.now()})
 	if p.obs != nil {
-		p.obs.PipeBlocked(p.obsID, p.now(), s)
+		p.emit(EvPipeBlocked, s, 0)
 	}
 	return false
 }
@@ -259,7 +255,7 @@ func (p *Pipe) TryPut(s Sample) bool {
 	p.dropped++
 	p.droppedNew++
 	if p.obs != nil {
-		p.obs.PipeDropped(p.obsID, p.now(), s, false)
+		p.emit(EvPipeDropped, s, 0)
 	}
 	return false
 }
@@ -268,7 +264,7 @@ func (p *Pipe) accept(s Sample) {
 	p.items.Push(s)
 	p.puts++
 	if p.obs != nil {
-		p.obs.PipePut(p.obsID, p.now(), s, p.items.Len())
+		p.emit(EvPipePut, s, p.items.Len())
 	}
 	if p.onData != nil {
 		p.onData()
@@ -284,7 +280,7 @@ func (p *Pipe) Get() (Sample, bool) {
 	}
 	s := p.items.Pop()
 	if p.obs != nil {
-		p.obs.PipeGet(p.obsID, p.now(), s, p.items.Len())
+		p.emit(EvPipeGet, s, p.items.Len())
 	}
 	p.admitBlocked()
 	return s, true

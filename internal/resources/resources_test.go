@@ -3,6 +3,7 @@ package resources
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -236,7 +237,7 @@ func TestPipeOnData(t *testing.T) {
 	p2.Put(Sample{}, nil)
 	p2.Put(Sample{}, nil) // blocks
 	if w2 != 1 {
-		t.Fatalf("blocked put should not wake yet: %d", w2)
+		t.Fatalf("pipe-blocked put should not wake yet: %d", w2)
 	}
 	p2.Get()
 	if w2 != 2 {
@@ -510,20 +511,18 @@ func TestOverflowPolicyStrings(t *testing.T) {
 	}
 }
 
-// pipeEvents records PipeObserver callbacks as compact strings.
+// pipeEvents records pipe events as compact strings.
 type pipeEvents struct{ got []string }
 
-func (p *pipeEvents) PipePut(pipe int, t float64, s Sample, depth int) {
-	p.got = append(p.got, fmt.Sprintf("put p%d seq%d depth%d", pipe, s.Seq, depth))
-}
-func (p *pipeEvents) PipeBlocked(pipe int, t float64, s Sample) {
-	p.got = append(p.got, fmt.Sprintf("blocked p%d seq%d", pipe, s.Seq))
-}
-func (p *pipeEvents) PipeDropped(pipe int, t float64, s Sample, oldest bool) {
-	p.got = append(p.got, fmt.Sprintf("dropped p%d seq%d oldest=%v", pipe, s.Seq, oldest))
-}
-func (p *pipeEvents) PipeGet(pipe int, t float64, s Sample, depth int) {
-	p.got = append(p.got, fmt.Sprintf("get p%d seq%d depth%d", pipe, s.Seq, depth))
+func (p *pipeEvents) Observe(e Event) {
+	switch e.Kind {
+	case EvPipePut, EvPipeGet:
+		p.got = append(p.got, fmt.Sprintf("%s p%d seq%d depth%d", e.Kind, e.Unit, e.Sample.Seq, e.N))
+	case EvPipeBlocked:
+		p.got = append(p.got, fmt.Sprintf("%s p%d seq%d", e.Kind, e.Unit, e.Sample.Seq))
+	case EvPipeDropped:
+		p.got = append(p.got, fmt.Sprintf("%s p%d seq%d oldest=%v", e.Kind, e.Unit, e.Sample.Seq, e.N == 1))
+	}
 }
 
 // The pipe reports every lifecycle transition to its observer: accepted
@@ -541,11 +540,11 @@ func TestPipeObserverLifecycle(t *testing.T) {
 	p.Get()
 
 	want := []string{
-		"put p7 seq0 depth1",
-		"blocked p7 seq1",
-		"get p7 seq0 depth0",
-		"put p7 seq1 depth1", // the admitted blocked writer
-		"get p7 seq1 depth0",
+		"pipe-put p7 seq0 depth1",
+		"pipe-blocked p7 seq1",
+		"pipe-get p7 seq0 depth0",
+		"pipe-put p7 seq1 depth1", // the admitted blocked writer
+		"pipe-get p7 seq1 depth0",
 	}
 	if len(obs.got) != len(want) {
 		t.Fatalf("events %v, want %v", obs.got, want)
@@ -565,7 +564,7 @@ func TestPipeObserverDropPolicies(t *testing.T) {
 	p.SetPolicy(DropNewest)
 	p.Put(Sample{Seq: 0}, nil)
 	p.Put(Sample{Seq: 1}, nil)
-	if got := obs.got[len(obs.got)-1]; got != "dropped p0 seq1 oldest=false" {
+	if got := obs.got[len(obs.got)-1]; got != "pipe-dropped p0 seq1 oldest=false" {
 		t.Fatalf("DropNewest reported %q", got)
 	}
 
@@ -578,7 +577,7 @@ func TestPipeObserverDropPolicies(t *testing.T) {
 	p.Put(Sample{Seq: 0}, nil)
 	p.Put(Sample{Seq: 1}, nil)
 	tail := obs.got[len(obs.got)-2:]
-	if tail[0] != "dropped p0 seq0 oldest=true" || tail[1] != "put p0 seq1 depth1" {
+	if tail[0] != "pipe-dropped p0 seq0 oldest=true" || tail[1] != "pipe-put p0 seq1 depth1" {
 		t.Fatalf("DropOldest reported %v", tail)
 	}
 
@@ -588,7 +587,38 @@ func TestPipeObserverDropPolicies(t *testing.T) {
 	p.SetObserver(0, obs)
 	p.TryPut(Sample{Seq: 0})
 	p.TryPut(Sample{Seq: 1})
-	if got := obs.got[len(obs.got)-1]; got != "dropped p0 seq1 oldest=false" {
+	if got := obs.got[len(obs.got)-1]; got != "pipe-dropped p0 seq1 oldest=false" {
 		t.Fatalf("TryPut reported %q", got)
+	}
+}
+
+// occEvents records occupancy events as compact strings.
+type occEvents struct{ got []string }
+
+func (o *occEvents) Observe(e Event) {
+	o.got = append(o.got, fmt.Sprintf("%s u%d %s [%g,%g]", e.Kind, e.Unit, e.Owner, e.T-e.Dur, e.T))
+}
+
+// CPUs report one EvCPUSlice per quantum-bounded slice and the network
+// one EvNetTransfer per transfer, each ending at its event time and
+// tagged with the unit given to SetObserver.
+func TestOccupancyEvents(t *testing.T) {
+	sim := des.New()
+	cpu := NewCPU(sim, 1, 10)
+	net := NewNetwork(sim, true)
+	obs := &occEvents{}
+	cpu.SetObserver(3, obs)
+	net.SetObserver(0, obs)
+	cpu.Submit("app", 25, nil)
+	net.Submit("pd", 4, nil)
+	sim.RunAll()
+	want := []string{
+		"net-transfer u0 pd [0,4]",
+		"cpu-slice u3 app [0,10]",
+		"cpu-slice u3 app [10,20]",
+		"cpu-slice u3 app [20,25]",
+	}
+	if !reflect.DeepEqual(obs.got, want) {
+		t.Fatalf("events %v, want %v", obs.got, want)
 	}
 }
