@@ -244,8 +244,8 @@ func writeTrace(path string, c *obs.Collector) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("wrote Chrome trace (%d spans + %d events) to %s\n",
-			len(c.Sink.Spans()), len(c.Sink.Events()), path)
+		spans, records := c.Sink.Counts()
+		fmt.Printf("wrote Chrome trace (%d spans + %d events) to %s\n", spans, records, path)
 		return nil
 	}
 	recs := c.Sink.TraceRecords()

@@ -125,8 +125,8 @@ func main() {
 		if err := f.Close(); err != nil {
 			fatal("%v", err)
 		}
-		fmt.Printf("wrote Chrome trace (%d spans + %d events) to %s\n",
-			len(c.Sink.Spans()), len(c.Sink.Events()), *export)
+		spans, records := c.Sink.Counts()
+		fmt.Printf("wrote Chrome trace (%d spans + %d events) to %s\n", spans, records, *export)
 	}
 
 	policyName := fmt.Sprint(cfg.Policy)

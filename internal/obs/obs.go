@@ -28,6 +28,11 @@
 //     that captures resource utilization, queue lengths, and pipe
 //     occupancy as simulated-time series.
 //
+// The trace sink keeps spans and records in append-only fixed-length
+// blocks, so recording never copies what is already stored (a trace
+// costs about one copy of itself), and the exporters read the blocks in
+// place.
+//
 // A Collector's Flow (the provenance engine, internal/obs/prov) sees the
 // same stream. The engine's dispatch counter is the one other hook:
 // Collector also satisfies des.Observer, which sits below the package

@@ -45,12 +45,46 @@ type Record struct {
 	Hops  int
 }
 
-// TraceSink records occupancy spans and lifecycle records from one run.
-// It is filled synchronously from the single simulation goroutine; no
-// locking. Exporters read it after the run.
+// blockLen is the number of entries in one trace block.
+const blockLen = 4096
+
+// blocks is an append-only store of fixed-length blocks. A new block is
+// allocated only when the last one is full, so storing an entry never
+// copies the ones already stored: a trace of n entries allocates about
+// n entries. One slice grown by append would allocate about 5n and copy
+// about 4n, since append grows a large slice by about 1.25x per step.
+type blocks[T any] struct {
+	b [][]T // every block but the last holds exactly blockLen entries
+	n int
+}
+
+// push appends v.
+func (s *blocks[T]) push(v T) {
+	if len(s.b) == 0 || len(s.b[len(s.b)-1]) == blockLen {
+		s.b = append(s.b, make([]T, 0, blockLen))
+	}
+	last := &s.b[len(s.b)-1]
+	*last = append(*last, v)
+	s.n++
+}
+
+// copyAll returns the stored entries, in order, as one new slice.
+func (s *blocks[T]) copyAll() []T {
+	out := make([]T, 0, s.n)
+	for _, blk := range s.b {
+		out = append(out, blk...)
+	}
+	return out
+}
+
+// TraceSink records occupancy spans and lifecycle records from one run,
+// each kind in its own block store (see blocks), in recorded order. It
+// is filled synchronously from the single simulation goroutine; no
+// locking. Exporters read it after the run, iterating the blocks in
+// place.
 type TraceSink struct {
-	spans  []OccSpan
-	events []Record
+	spans  blocks[OccSpan]
+	events blocks[Record]
 }
 
 // NewTraceSink returns an empty sink.
@@ -62,46 +96,47 @@ func NewTraceSink() *TraceSink { return &TraceSink{} }
 func (s *TraceSink) add(e *resources.Event) {
 	switch e.Kind {
 	case resources.EvCPUSlice, resources.EvNetTransfer:
-		s.spans = append(s.spans, OccSpan{Kind: e.Kind, Unit: e.Unit, Owner: e.Owner, StartUS: e.T - e.Dur, DurUS: e.Dur})
+		s.spans.push(OccSpan{Kind: e.Kind, Unit: e.Unit, Owner: e.Owner, StartUS: e.T - e.Dur, DurUS: e.Dur})
 	case resources.EvMessageForwarded:
-		s.events = append(s.events, Record{Kind: e.Kind, TUS: e.T, Node: e.Unit, N: len(e.Batch), Hops: e.Hops})
+		s.events.push(Record{Kind: e.Kind, TUS: e.T, Node: e.Unit, N: len(e.Batch), Hops: e.Hops})
 		s.addSamples(resources.EvSampleForwarded, e)
 	case resources.EvMessageReceived:
 		s.addSamples(resources.EvSampleArrived, e)
 	case resources.EvBatchCollected, resources.EvDaemonCrash, resources.EvDaemonRestore, resources.EvRetransmit:
-		s.events = append(s.events, Record{Kind: e.Kind, TUS: e.T, Node: e.Unit, N: e.N})
+		s.events.push(Record{Kind: e.Kind, TUS: e.T, Node: e.Unit, N: e.N})
 	case resources.EvSampleDelivered:
 		smp := e.Sample
-		s.events = append(s.events, Record{Kind: e.Kind, TUS: smp.GenTime, DurUS: e.Dur, Node: smp.Node, Proc: smp.Proc, Seq: smp.Seq})
+		s.events.push(Record{Kind: e.Kind, TUS: smp.GenTime, DurUS: e.Dur, Node: smp.Node, Proc: smp.Proc, Seq: smp.Seq})
 	default:
 		smp := e.Sample
-		s.events = append(s.events, Record{Kind: e.Kind, TUS: e.T, Unit: e.Unit, Node: smp.Node, Proc: smp.Proc, Seq: smp.Seq, N: e.N, Hops: e.Hops})
+		s.events.push(Record{Kind: e.Kind, TUS: e.T, Unit: e.Unit, Node: smp.Node, Proc: smp.Proc, Seq: smp.Seq, N: e.N, Hops: e.Hops})
 	}
 }
 
 // addSamples stores one kind record per sample of a message event.
 func (s *TraceSink) addSamples(kind resources.EventKind, e *resources.Event) {
 	for _, smp := range e.Batch {
-		s.events = append(s.events, Record{Kind: kind, TUS: e.T, Unit: e.Unit, Node: smp.Node, Proc: smp.Proc, Seq: smp.Seq, Hops: e.Hops})
+		s.events.push(Record{Kind: kind, TUS: e.T, Unit: e.Unit, Node: smp.Node, Proc: smp.Proc, Seq: smp.Seq, Hops: e.Hops})
 	}
 }
 
-// Reset discards everything recorded so far (warmup removal).
-func (s *TraceSink) Reset() {
-	s.spans = s.spans[:0]
-	s.events = s.events[:0]
-}
+// Reset discards everything recorded so far (warmup removal), dropping
+// the blocks.
+func (s *TraceSink) Reset() { *s = TraceSink{} }
 
-// Spans returns the recorded occupancy spans (the sink's own slice; do not
-// mutate).
-func (s *TraceSink) Spans() []OccSpan { return s.spans }
+// Spans returns a copy of the recorded occupancy spans, in recorded
+// order. It allocates the whole trace again; exporters iterate in place.
+func (s *TraceSink) Spans() []OccSpan { return s.spans.copyAll() }
 
-// Events returns the recorded lifecycle records (the sink's own slice; do
-// not mutate).
-func (s *TraceSink) Events() []Record { return s.events }
+// Events returns a copy of the recorded lifecycle records, in recorded
+// order. It allocates the whole trace again; exporters iterate in place.
+func (s *TraceSink) Events() []Record { return s.events.copyAll() }
+
+// Counts returns the number of recorded spans and lifecycle records.
+func (s *TraceSink) Counts() (spans, records int) { return s.spans.n, s.events.n }
 
 // Len returns the total number of recorded spans and records.
-func (s *TraceSink) Len() int { return len(s.spans) + len(s.events) }
+func (s *TraceSink) Len() int { return s.spans.n + s.events.n }
 
 // classPID maps a resource-accounting owner class to the Table 1 trace
 // label and its PID base (one PID block per class; unit offsets within).
@@ -123,23 +158,25 @@ var classPID = map[string]struct {
 // aggregate Result accounting. Owners outside the Table 1 classes keep
 // their own name as the label, in PID block 900.
 func (s *TraceSink) TraceRecords() []trace.Record {
-	recs := make([]trace.Record, 0, len(s.spans))
-	for _, sp := range s.spans {
-		info, ok := classPID[sp.Owner]
-		if !ok {
-			info.label, info.base = sp.Owner, 900
+	recs := make([]trace.Record, 0, s.spans.n)
+	for _, blk := range s.spans.b {
+		for _, sp := range blk {
+			info, ok := classPID[sp.Owner]
+			if !ok {
+				info.label, info.base = sp.Owner, 900
+			}
+			res := trace.CPU
+			if sp.Kind == resources.EvNetTransfer {
+				res = trace.Network
+			}
+			recs = append(recs, trace.Record{
+				StartUS:    sp.StartUS,
+				PID:        info.base + sp.Unit,
+				Process:    info.label,
+				Resource:   res,
+				DurationUS: sp.DurUS,
+			})
 		}
-		res := trace.CPU
-		if sp.Kind == resources.EvNetTransfer {
-			res = trace.Network
-		}
-		recs = append(recs, trace.Record{
-			StartUS:    sp.StartUS,
-			PID:        info.base + sp.Unit,
-			Process:    info.label,
-			Resource:   res,
-			DurationUS: sp.DurUS,
-		})
 	}
 	trace.SortByTime(recs)
 	return recs
@@ -213,7 +250,7 @@ func ownerTID(owner string) int {
 // produce flow steps with no start), and each flow ends at most once
 // (first delivery or loss wins; injected duplicates add no second end).
 func (s *TraceSink) WriteChrome(w io.Writer) error {
-	events := make([]chromeEvent, 0, len(s.spans)+len(s.events)+16)
+	events := make([]chromeEvent, 0, s.spans.n+s.events.n+16)
 	named := map[int]string{}
 	name := func(pid int, label string) {
 		if _, ok := named[pid]; !ok {
@@ -225,104 +262,110 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 		}
 	}
 	gen := map[string]bool{}
-	for _, e := range s.events {
-		if e.Kind == resources.EvSampleGenerated {
-			gen[flowID(e.Node, e.Proc, e.Seq)] = true
+	for _, blk := range s.events.b {
+		for _, e := range blk {
+			if e.Kind == resources.EvSampleGenerated {
+				gen[flowID(e.Node, e.Proc, e.Seq)] = true
+			}
 		}
 	}
 	ended := map[string]bool{}
-	for _, sp := range s.spans {
-		pid, cat := chromePIDNet, "net"
-		if sp.Kind == resources.EvCPUSlice {
-			pid, cat = chromePIDCPU+sp.Unit, "cpu"
-			name(pid, fmt.Sprintf("cpu %d", sp.Unit))
-		} else {
-			name(pid, "network")
+	for _, blk := range s.spans.b {
+		for _, sp := range blk {
+			pid, cat := chromePIDNet, "net"
+			if sp.Kind == resources.EvCPUSlice {
+				pid, cat = chromePIDCPU+sp.Unit, "cpu"
+				name(pid, fmt.Sprintf("cpu %d", sp.Unit))
+			} else {
+				name(pid, "network")
+			}
+			events = append(events, chromeEvent{
+				Name: sp.Owner, Cat: cat, Ph: "X",
+				TS: sp.StartUS, Dur: sp.DurUS,
+				PID: pid, TID: ownerTID(sp.Owner),
+			})
 		}
-		events = append(events, chromeEvent{
-			Name: sp.Owner, Cat: cat, Ph: "X",
-			TS: sp.StartUS, Dur: sp.DurUS,
-			PID: pid, TID: ownerTID(sp.Owner),
-		})
 	}
-	for _, e := range s.events {
-		switch e.Kind {
-		case resources.EvSampleGenerated:
-			pid := ChromePIDSample + e.Node
-			name(pid, fmt.Sprintf("node %d samples", e.Node))
-			events = append(events, chromeEvent{
-				Name: e.Kind.String(), Cat: "lifecycle", Ph: "i",
-				TS: e.TUS, PID: pid, TID: 1, S: "t",
-				Args: map[string]any{"n": e.N, "hops": e.Hops},
-			})
-			events = append(events, chromeEvent{
-				Name: "sample path", Cat: flowCat, Ph: "s",
-				TS: e.TUS, PID: pid, TID: 1,
-				ID:   flowID(e.Node, e.Proc, e.Seq),
-				Args: map[string]any{"node": e.Node, "proc": e.Proc, "seq": e.Seq},
-			})
-		case resources.EvSampleForwarded, resources.EvSampleArrived:
-			id := flowID(e.Node, e.Proc, e.Seq)
-			if !gen[id] {
-				continue
-			}
-			pid := ChromePIDSample + e.Node
-			name(pid, fmt.Sprintf("node %d samples", e.Node))
-			events = append(events, chromeEvent{
-				Name: e.Kind.String(), Cat: flowCat, Ph: "t",
-				TS: e.TUS, PID: pid, TID: 1, ID: id,
-				Args: map[string]any{"pd": e.Unit, "hops": e.Hops},
-			})
-		case resources.EvSampleLost:
-			pid := ChromePIDSample + e.Node
-			name(pid, fmt.Sprintf("node %d samples", e.Node))
-			events = append(events, chromeEvent{
-				Name: e.Kind.String(), Cat: "lifecycle", Ph: "i",
-				TS: e.TUS, PID: pid, TID: 1, S: "t",
-				Args: map[string]any{"reason": procs.LossReason(e.N).String(), "pd": e.Unit},
-			})
-			id := flowID(e.Node, e.Proc, e.Seq)
-			if gen[id] && !ended[id] {
-				ended[id] = true
+	for _, blk := range s.events.b {
+		for _, e := range blk {
+			switch e.Kind {
+			case resources.EvSampleGenerated:
+				pid := ChromePIDSample + e.Node
+				name(pid, fmt.Sprintf("node %d samples", e.Node))
 				events = append(events, chromeEvent{
-					Name: "sample path", Cat: flowCat, Ph: "f",
-					TS: e.TUS, PID: pid, TID: 1, ID: id, BP: "e",
+					Name: e.Kind.String(), Cat: "lifecycle", Ph: "i",
+					TS: e.TUS, PID: pid, TID: 1, S: "t",
+					Args: map[string]any{"n": e.N, "hops": e.Hops},
+				})
+				events = append(events, chromeEvent{
+					Name: "sample path", Cat: flowCat, Ph: "s",
+					TS: e.TUS, PID: pid, TID: 1,
+					ID:   flowID(e.Node, e.Proc, e.Seq),
+					Args: map[string]any{"node": e.Node, "proc": e.Proc, "seq": e.Seq},
+				})
+			case resources.EvSampleForwarded, resources.EvSampleArrived:
+				id := flowID(e.Node, e.Proc, e.Seq)
+				if !gen[id] {
+					continue
+				}
+				pid := ChromePIDSample + e.Node
+				name(pid, fmt.Sprintf("node %d samples", e.Node))
+				events = append(events, chromeEvent{
+					Name: e.Kind.String(), Cat: flowCat, Ph: "t",
+					TS: e.TUS, PID: pid, TID: 1, ID: id,
+					Args: map[string]any{"pd": e.Unit, "hops": e.Hops},
+				})
+			case resources.EvSampleLost:
+				pid := ChromePIDSample + e.Node
+				name(pid, fmt.Sprintf("node %d samples", e.Node))
+				events = append(events, chromeEvent{
+					Name: e.Kind.String(), Cat: "lifecycle", Ph: "i",
+					TS: e.TUS, PID: pid, TID: 1, S: "t",
+					Args: map[string]any{"reason": procs.LossReason(e.N).String(), "pd": e.Unit},
+				})
+				id := flowID(e.Node, e.Proc, e.Seq)
+				if gen[id] && !ended[id] {
+					ended[id] = true
+					events = append(events, chromeEvent{
+						Name: "sample path", Cat: flowCat, Ph: "f",
+						TS: e.TUS, PID: pid, TID: 1, ID: id, BP: "e",
+					})
+				}
+			case resources.EvSampleDelivered:
+				pid := ChromePIDSample + e.Node
+				name(pid, fmt.Sprintf("node %d samples", e.Node))
+				events = append(events, chromeEvent{
+					Name: fmt.Sprintf("sample p%d #%d", e.Proc, e.Seq),
+					Cat:  "sample", Ph: "X",
+					TS: e.TUS, Dur: e.DurUS,
+					PID: pid, TID: 1 + e.Proc,
+					Args: map[string]any{"latency_us": e.DurUS},
+				})
+				id := flowID(e.Node, e.Proc, e.Seq)
+				if gen[id] && !ended[id] {
+					ended[id] = true
+					events = append(events, chromeEvent{
+						Name: "sample path", Cat: flowCat, Ph: "f",
+						TS: e.TUS + e.DurUS, PID: pid, TID: 1 + e.Proc, ID: id, BP: "e",
+					})
+				}
+			case resources.EvPipePut, resources.EvPipeBlocked, resources.EvPipeDropped, resources.EvPipeGet:
+				pid := chromePIDPipe + e.Unit
+				name(pid, fmt.Sprintf("pipe %d", e.Unit))
+				events = append(events, chromeEvent{
+					Name: e.Kind.String(), Cat: "pipe", Ph: "i",
+					TS: e.TUS, PID: pid, TID: 1, S: "t",
+					Args: map[string]any{"node": e.Node, "proc": e.Proc, "seq": e.Seq, "n": e.N},
+				})
+			default:
+				pid := ChromePIDSample + e.Node
+				name(pid, fmt.Sprintf("node %d samples", e.Node))
+				events = append(events, chromeEvent{
+					Name: e.Kind.String(), Cat: "lifecycle", Ph: "i",
+					TS: e.TUS, PID: pid, TID: 1, S: "t",
+					Args: map[string]any{"n": e.N, "hops": e.Hops},
 				})
 			}
-		case resources.EvSampleDelivered:
-			pid := ChromePIDSample + e.Node
-			name(pid, fmt.Sprintf("node %d samples", e.Node))
-			events = append(events, chromeEvent{
-				Name: fmt.Sprintf("sample p%d #%d", e.Proc, e.Seq),
-				Cat:  "sample", Ph: "X",
-				TS: e.TUS, Dur: e.DurUS,
-				PID: pid, TID: 1 + e.Proc,
-				Args: map[string]any{"latency_us": e.DurUS},
-			})
-			id := flowID(e.Node, e.Proc, e.Seq)
-			if gen[id] && !ended[id] {
-				ended[id] = true
-				events = append(events, chromeEvent{
-					Name: "sample path", Cat: flowCat, Ph: "f",
-					TS: e.TUS + e.DurUS, PID: pid, TID: 1 + e.Proc, ID: id, BP: "e",
-				})
-			}
-		case resources.EvPipePut, resources.EvPipeBlocked, resources.EvPipeDropped, resources.EvPipeGet:
-			pid := chromePIDPipe + e.Unit
-			name(pid, fmt.Sprintf("pipe %d", e.Unit))
-			events = append(events, chromeEvent{
-				Name: e.Kind.String(), Cat: "pipe", Ph: "i",
-				TS: e.TUS, PID: pid, TID: 1, S: "t",
-				Args: map[string]any{"node": e.Node, "proc": e.Proc, "seq": e.Seq, "n": e.N},
-			})
-		default:
-			pid := ChromePIDSample + e.Node
-			name(pid, fmt.Sprintf("node %d samples", e.Node))
-			events = append(events, chromeEvent{
-				Name: e.Kind.String(), Cat: "lifecycle", Ph: "i",
-				TS: e.TUS, PID: pid, TID: 1, S: "t",
-				Args: map[string]any{"n": e.N, "hops": e.Hops},
-			})
 		}
 	}
 	enc := json.NewEncoder(w)

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -23,6 +24,123 @@ func TestRecordStaysCompact(t *testing.T) {
 	if n := unsafe.Sizeof(Record{}); n > 72 {
 		t.Fatalf("Record is %d bytes, want at most 72", n)
 	}
+}
+
+// observeMix records n spans and n lifecycle records, interleaved: span i
+// is a CPU slice of length i on unit i%4, all starting at 0 so that
+// TraceRecords' stable time sort keeps recorded order; record i is the
+// generation of the sample with Seq i.
+func observeMix(c *Collector, n int) {
+	for i := 0; i < n; i++ {
+		c.Observe(occ(resources.EvCPUSlice, i%4, procs.OwnerApp, 0, float64(i)))
+		c.Observe(resources.Event{Kind: resources.EvSampleGenerated, T: float64(i), Sample: resources.Sample{Seq: i}})
+	}
+}
+
+// checkMix reports whether every reader returns observeMix's n spans and
+// records in recorded order.
+func checkMix(t *testing.T, s *TraceSink, n int) {
+	t.Helper()
+	if spans, records := s.Counts(); spans != n || records != n || s.Len() != 2*n {
+		t.Fatalf("Counts() = %d, %d and Len() = %d, want %d, %d and %d", spans, records, s.Len(), n, n, 2*n)
+	}
+	spans, events, recs := s.Spans(), s.Events(), s.TraceRecords()
+	if len(spans) != n || len(events) != n || len(recs) != n {
+		t.Fatalf("got %d spans, %d events, %d trace records, want %d each", len(spans), len(events), len(recs), n)
+	}
+	for i := 0; i < n; i++ {
+		if spans[i].DurUS != float64(i) || spans[i].Unit != i%4 {
+			t.Fatalf("span %d = %+v, out of recorded order", i, spans[i])
+		}
+		if events[i].Seq != i || events[i].TUS != float64(i) {
+			t.Fatalf("event %d = %+v, out of recorded order", i, events[i])
+		}
+		if recs[i].DurationUS != float64(i) || recs[i].PID != 100+i%4 {
+			t.Fatalf("trace record %d = %+v, out of recorded order", i, recs[i])
+		}
+	}
+}
+
+// The block store keeps recorded order across every block boundary, and
+// Reset leaves a sink that records again from empty.
+func TestTraceSinkBlockOrder(t *testing.T) {
+	const n = 3*blockLen + 1
+	c := NewCollector(true, false)
+	observeMix(c, n)
+	checkMix(t, c.Sink, n)
+
+	c.Sink.Reset()
+	if spans, records := c.Sink.Counts(); spans != 0 || records != 0 || len(c.Sink.Spans()) != 0 || len(c.Sink.Events()) != 0 {
+		t.Fatalf("Reset left %d spans and %d records", spans, records)
+	}
+	observeMix(c, blockLen+1)
+	checkMix(t, c.Sink, blockLen+1)
+}
+
+// Recording never copies what is already stored: n records on a fresh
+// sink allocate their own bytes plus at most one partly filled block and
+// a small slack: the block index, and the few KiB the race detector's
+// runtime adds. A single slice grown by append allocates about 5n
+// records and fails this.
+func TestTraceSinkAllocatesOneCopy(t *testing.T) {
+	const n = 10*blockLen + 1
+	c := NewCollector(true, false)
+	e := resources.Event{Kind: resources.EvPipePut, T: 1, Unit: 2, N: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		c.Observe(e)
+	}
+	runtime.ReadMemStats(&after)
+	rec := uint64(unsafe.Sizeof(Record{}))
+	const slack = 64 << 10
+	got, limit := after.TotalAlloc-before.TotalAlloc, (n+blockLen)*rec+slack
+	if got > limit {
+		t.Fatalf("recording %d records allocated %d bytes, want at most %d", n, got, limit)
+	}
+	if c.Sink.Len() != n {
+		t.Fatalf("sink holds %d records, want %d", c.Sink.Len(), n)
+	}
+}
+
+// BenchmarkTraceSinkObserve feeds a sink-only Collector a fixed mix of
+// six events: a CPU slice, a generated sample, a pipe put and get, a
+// forwarded message carrying 16 samples and a delivered sample (22
+// stored entries). The sink is reset every sinkRun passes, like a run's
+// warmup boundary, so memory stays bounded at any b.N while the block
+// allocations stay in the measured bytes.
+func BenchmarkTraceSinkObserve(b *testing.B) {
+	const sinkRun = 4096
+	smp := resources.Sample{GenTime: 10, Node: 1, Proc: 2, Seq: 3}
+	batch := make([]resources.Sample, 16)
+	for i := range batch {
+		batch[i] = resources.Sample{GenTime: 5, Node: i % 4, Proc: i, Seq: i}
+	}
+	mix := []resources.Event{
+		occ(resources.EvCPUSlice, 0, procs.OwnerApp, 0, 100),
+		{Kind: resources.EvSampleGenerated, T: 10, Sample: smp},
+		{Kind: resources.EvPipePut, T: 10, Unit: 1, Sample: smp, N: 1},
+		{Kind: resources.EvPipeGet, T: 20, Unit: 1, Sample: smp},
+		{Kind: resources.EvMessageForwarded, T: 25, Unit: 1, Batch: batch, Hops: 1},
+		{Kind: resources.EvSampleDelivered, T: 40, Sample: smp, Dur: 30},
+	}
+	c := NewCollector(true, false)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%sinkRun == 0 {
+			c.Sink.Reset()
+		}
+		for _, e := range mix {
+			c.Observe(e)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	events := float64(b.N * len(mix))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/events, "B/event")
 }
 
 func TestTraceRecordsRoundTrip(t *testing.T) {
