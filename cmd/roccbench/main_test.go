@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -80,5 +81,50 @@ func TestOutFlagUnknownExperiment(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("output file created for an unknown experiment (stat err %v)", err)
+	}
+}
+
+// TestRetiredFlagsAndValuesExit2 pins the usage errors for the removed
+// perf-record mode, the removed list calendar and the removed "bench" id
+// alias: each exits 2 before the -out file is created.
+func TestRetiredFlagsAndValuesExit2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "fig17", "-json"},
+		{"-compare", "a.json", "-baseline", "b.json"},
+		{"-exp", "fig17", "-calendar", "list"},
+		{"-exp", "bench"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "out.txt")
+			stdout, _, code := roccbench(t, append(args, "-out", path)...)
+			if code != 2 {
+				t.Fatalf("exit %d, want 2", code)
+			}
+			if len(stdout) != 0 {
+				t.Fatalf("stdout not empty: %q", stdout)
+			}
+			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("output file created (stat err %v)", err)
+			}
+		})
+	}
+}
+
+// TestCalendarFlagOutputIdentical checks that -calendar selects an
+// implementation, not a result: every live calendar prints the same bytes.
+func TestCalendarFlagOutputIdentical(t *testing.T) {
+	var want []byte
+	for _, cal := range []string{"auto", "heap", "bucket"} {
+		got, stderr, code := roccbench(t, "-exp", "fig17", "-duration", "0.5", "-reps", "2", "-calendar", cal)
+		if code != 0 || len(got) == 0 {
+			t.Fatalf("-calendar %s: exit %d, %d bytes: %s", cal, code, len(got), stderr)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("-calendar %s output differs from -calendar auto:\n%s\nvs\n%s", cal, got, want)
+		}
 	}
 }

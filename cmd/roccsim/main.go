@@ -69,7 +69,7 @@ func main() {
 		execTr   = flag.String("exectrace", "", "write a Go runtime execution trace")
 		logDest  = flag.String("log", "", "write structured run logs to this file (\"-\" = stderr)")
 		logLevel = flag.String("loglevel", "info", "log level: debug, info, warn, error")
-		calName  = flag.String("calendar", "auto", "event calendar: auto, heap, bucket, list (results identical; perf only)")
+		calName  = flag.String("calendar", "auto", "event calendar: auto, heap, bucket (results identical; perf only)")
 	)
 	flag.Parse()
 

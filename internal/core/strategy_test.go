@@ -136,13 +136,12 @@ func adaptiveOverloadConfig() Config {
 
 // The adaptive controller is a deterministic function of the simulated
 // clock: identical Results — including the controller telemetry — under
-// every calendar-queue implementation and at any replication worker
-// count.
+// both calendars and at any replication worker count.
 func TestAdaptiveDeterministicAcrossCalendarsAndWorkers(t *testing.T) {
 	base := adaptiveOverloadConfig()
 
 	var ref Result
-	for i, kind := range []des.CalendarKind{des.CalendarHeap, des.CalendarBucket, des.CalendarList} {
+	for i, kind := range []des.CalendarKind{des.CalendarHeap, des.CalendarBucket} {
 		cfg := base
 		cfg.Calendar = kind
 		m, err := New(cfg)

@@ -13,9 +13,6 @@ const (
 	CalendarHeap
 	// CalendarBucket is the calendar queue (O(1) amortized push/pop).
 	CalendarBucket
-	// CalendarList is the sorted doubly-linked list (O(n) push), retained
-	// for the event-queue ablation; never chosen automatically.
-	CalendarList
 )
 
 // String implements fmt.Stringer with the names ParseCalendarKind accepts.
@@ -27,8 +24,6 @@ func (k CalendarKind) String() string {
 		return "heap"
 	case CalendarBucket:
 		return "bucket"
-	case CalendarList:
-		return "list"
 	}
 	return fmt.Sprintf("CalendarKind(%d)", int(k))
 }
@@ -43,10 +38,8 @@ func ParseCalendarKind(s string) (CalendarKind, error) {
 		return CalendarHeap, nil
 	case "bucket", "cq":
 		return CalendarBucket, nil
-	case "list":
-		return CalendarList, nil
 	}
-	return CalendarAuto, fmt.Errorf("des: unknown calendar %q (auto, heap, bucket, list)", s)
+	return CalendarAuto, fmt.Errorf("des: unknown calendar %q (auto, heap, bucket)", s)
 }
 
 // WorkloadHints describes the schedule a calendar will carry, so Auto can
@@ -76,8 +69,6 @@ func NewCalendarFor(k CalendarKind, h WorkloadHints) Calendar {
 		return NewHeapCalendar()
 	case CalendarBucket:
 		return NewBucketCalendar()
-	case CalendarList:
-		return NewListCalendar()
 	}
 	if h.PendingEvents > 0 && h.PendingEvents < autoBucketMinPending {
 		return NewHeapCalendar()

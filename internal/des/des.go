@@ -56,11 +56,10 @@ func (e *Event) Canceled() bool { return e.canceled }
 // Fired reports whether the event's callback has run.
 func (e *Event) Fired() bool { return e.fired }
 
-// Calendar is a future event list. Three implementations are provided: a
-// binary heap (the New default), a calendar queue (BucketCalendar, the
-// O(1)-amortized choice NewCalendarFor makes for non-trivial populations),
-// and a sorted doubly-linked list (kept for the event-queue ablation
-// benchmark). All three pop in identical (time, seq) order.
+// Calendar is a future event list. Two implementations are provided: a
+// binary heap (the New default) and a calendar queue (BucketCalendar, the
+// O(1)-amortized choice NewCalendarFor makes for non-trivial populations).
+// Both pop in identical (time, seq) order.
 type Calendar interface {
 	Push(*Event)
 	Pop() *Event  // next event in (time, seq) order, nil when empty

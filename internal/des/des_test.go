@@ -27,7 +27,7 @@ func TestScheduleOrder(t *testing.T) {
 }
 
 func TestFIFOAtEqualTimes(t *testing.T) {
-	for _, cal := range []Calendar{NewHeapCalendar(), NewListCalendar(), NewBucketCalendar()} {
+	for _, cal := range []Calendar{NewHeapCalendar(), NewBucketCalendar()} {
 		s := NewWithCalendar(cal)
 		var got []int
 		for i := 0; i < 10; i++ {
@@ -156,7 +156,7 @@ func TestCalendarEquivalence(t *testing.T) {
 		return got
 	}
 	a := run(NewHeapCalendar())
-	for _, other := range []Calendar{NewListCalendar(), NewBucketCalendar()} {
+	for _, other := range []Calendar{NewBucketCalendar()} {
 		b := run(other)
 		if len(a) != len(b) {
 			t.Fatalf("%T: dispatch counts differ: %d vs %d", other, len(a), len(b))
@@ -175,7 +175,6 @@ func TestQuickCalendarsSorted(t *testing.T) {
 		count := int(n)%200 + 1
 		for _, mk := range []func() Calendar{
 			func() Calendar { return NewHeapCalendar() },
-			func() Calendar { return NewListCalendar() },
 			func() Calendar { return NewBucketCalendar() },
 		} {
 			cal := mk()
@@ -254,9 +253,6 @@ func benchCalendar(b *testing.B, mk func() Calendar) {
 func BenchmarkHeapCalendar(b *testing.B) {
 	benchCalendar(b, func() Calendar { return NewHeapCalendar() })
 }
-func BenchmarkListCalendar(b *testing.B) {
-	benchCalendar(b, func() Calendar { return NewListCalendar() })
-}
 func BenchmarkBucketCalendar(b *testing.B) {
 	benchCalendar(b, func() Calendar { return NewBucketCalendar() })
 }
@@ -291,7 +287,6 @@ func TestBucketSteadyStateDoesNotAllocate(t *testing.T) {
 func TestCancelAfterFireAndCancelTwice(t *testing.T) {
 	for _, mk := range []func() Calendar{
 		func() Calendar { return NewHeapCalendar() },
-		func() Calendar { return NewListCalendar() },
 		func() Calendar { return NewBucketCalendar() },
 	} {
 		cal := mk()
@@ -334,7 +329,6 @@ func TestCancelAfterFireAndCancelTwice(t *testing.T) {
 func TestRunBoundaryWithCanceledHead(t *testing.T) {
 	for _, mk := range []func() Calendar{
 		func() Calendar { return NewHeapCalendar() },
-		func() Calendar { return NewListCalendar() },
 		func() Calendar { return NewBucketCalendar() },
 	} {
 		s := NewWithCalendar(mk())

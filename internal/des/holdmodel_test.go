@@ -66,26 +66,18 @@ func benchHold(b *testing.B, mk func() Calendar, d holdDist, n int) {
 	}
 }
 
-// BenchmarkHoldModel sweeps distribution x population x calendar. The
-// sorted list is only run at the smallest population: its O(n) insert makes
-// larger populations take hours, and the ablation point (it loses) is
-// already made at 1e3.
+// BenchmarkHoldModel sweeps distribution x population x calendar.
 func BenchmarkHoldModel(b *testing.B) {
 	cals := []struct {
 		name string
 		mk   func() Calendar
-		maxN int
 	}{
-		{"heap", func() Calendar { return NewHeapCalendar() }, 1 << 62},
-		{"bucket", func() Calendar { return NewBucketCalendar() }, 1 << 62},
-		{"list", func() Calendar { return NewListCalendar() }, 1000},
+		{"heap", func() Calendar { return NewHeapCalendar() }},
+		{"bucket", func() Calendar { return NewBucketCalendar() }},
 	}
 	for _, d := range holdDists() {
 		for _, n := range []int{1000, 100000, 1000000} {
 			for _, c := range cals {
-				if n > c.maxN {
-					continue
-				}
 				b.Run(fmt.Sprintf("%s/n=%d/%s", d.name, n, c.name), func(b *testing.B) {
 					benchHold(b, c.mk, d, n)
 				})

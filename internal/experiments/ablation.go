@@ -16,7 +16,7 @@ import (
 func init() {
 	register("ablation-pipecap", "Ablation: pipe capacity vs application blocking (§4.3.3 mechanism)", runAblationPipeCap)
 	register("ablation-quantum", "Ablation: CPU scheduling quantum sensitivity", runAblationQuantum)
-	register("ablation-eventqueue", "Ablation: heap vs sorted-list vs calendar-queue event calendar", runAblationEventQueue)
+	register("ablation-eventqueue", "Ablation: heap vs calendar-queue event calendar", runAblationEventQueue)
 	register("ablation-netcontention", "Ablation: contended vs contention-free MPP network", runAblationNetContention)
 	register("ablation-fitting", "Ablation: fitted distributions vs trace-driven (empirical) workload", runAblationFitting)
 }
@@ -116,7 +116,6 @@ func runAblationEventQueue(w io.Writer, opt Options) error {
 		mk   func() des.Calendar
 	}{
 		{"binary heap", func() des.Calendar { return des.NewHeapCalendar() }},
-		{"sorted list", func() des.Calendar { return des.NewListCalendar() }},
 		{"calendar queue", func() des.Calendar { return des.NewBucketCalendar() }},
 	} {
 		sim := des.NewWithCalendar(cal.mk())

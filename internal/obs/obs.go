@@ -7,7 +7,8 @@
 // network, application processes, daemons, the main process and fault
 // links each hold one resources.Observer, nil unless observed — a single
 // predictable branch on the hot path (proven by the nil-observer
-// allocation tests and the BENCH_baseline.json regression gate). When a
+// allocation tests and the root package's per-experiment allocation
+// pins). When a
 // Collector is attached via core.Model.EnableObservability, it subscribes
 // to that stream and keeps:
 //
