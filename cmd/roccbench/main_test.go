@@ -4,40 +4,20 @@ import (
 	"bytes"
 	"errors"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rocc/internal/cli/clitest"
 )
 
 // TestMain lets the flag-contract tests run this test binary as the
 // roccbench command itself.
-func TestMain(m *testing.M) {
-	if os.Getenv("ROCCBENCH_RUN_MAIN") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
+func TestMain(m *testing.M) { clitest.Main(m, main) }
 
-// roccbench runs the command with args and returns its stdout, stderr
-// and exit code.
-func roccbench(t *testing.T, args ...string) (stdout, stderr []byte, code int) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "ROCCBENCH_RUN_MAIN=1")
-	var out, errb bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &errb
-	err := cmd.Run()
-	var exit *exec.ExitError
-	switch {
-	case errors.As(err, &exit):
-		code = exit.ExitCode()
-	case err != nil:
-		t.Fatal(err)
-	}
-	return out.Bytes(), errb.Bytes(), code
-}
+// roccbench runs the command with args and returns its stdout, stderr and
+// exit code.
+var roccbench = clitest.Run
 
 // TestOutFlagWritesTextExperiments pins -out for text experiments: the
 // rendered output goes to the named file, byte-identical to what stdout

@@ -75,7 +75,7 @@ func main() {
 
 	calKind, err := des.ParseCalendarKind(*calName)
 	if err != nil {
-		fatal("%v", err)
+		usage("%v", err)
 	}
 
 	stopProf := startProfiling(*cpuProf, *execTr)
@@ -97,7 +97,7 @@ func main() {
 	case "mpp":
 		cfg.Arch = core.MPP
 	default:
-		fatal("unknown architecture %q", *arch)
+		usage("unknown architecture %q", *arch)
 	}
 	cfg.Nodes = *nodes
 	cfg.AppProcs = *procs
@@ -106,7 +106,7 @@ func main() {
 	policy.Apply(&cfg.Policy, &cfg.BatchSize, &cfg.Strategy, *batch)
 	fwdCfg, err := forward.ParseConfig(*fwd)
 	if err != nil {
-		fatal("%v", err)
+		usage("%v", err)
 	}
 	cfg.Forwarding = fwdCfg
 	cfg.Duration = *dur * 1e6
@@ -318,7 +318,7 @@ func openLogger(dest, level string) *obs.Logger {
 	}
 	lv, err := obs.ParseLevel(level)
 	if err != nil {
-		fatal("%v", err)
+		usage("%v", err)
 	}
 	if dest == "-" {
 		return obs.NewLogger(os.Stderr, lv)
@@ -423,7 +423,14 @@ func runFromFile(path string, cal des.CalendarKind, reps, parallel int, asJSON b
 	emitResult(cfg, rep, reps, asJSON, outPath)
 }
 
+// fatal reports a failed run and exits 1.
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "roccsim: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// usage reports a bad flag value and exits 2, as the flag package does.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "roccsim: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -3,44 +3,22 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"testing"
 
+	"rocc/internal/cli/clitest"
 	"rocc/internal/obs"
 	"rocc/internal/trace"
 )
 
 // TestMain lets the flag-contract tests run this test binary as the
 // roccsim command itself.
-func TestMain(m *testing.M) {
-	if os.Getenv("ROCCSIM_RUN_MAIN") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
+func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 // roccsim runs the command with args and returns its stdout, stderr and
 // exit code.
-func roccsim(t *testing.T, args ...string) (stdout, stderr []byte, code int) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "ROCCSIM_RUN_MAIN=1")
-	var out, errb bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &errb
-	err := cmd.Run()
-	var exit *exec.ExitError
-	switch {
-	case errors.As(err, &exit):
-		code = exit.ExitCode()
-	case err != nil:
-		t.Fatal(err)
-	}
-	return out.Bytes(), errb.Bytes(), code
-}
+var roccsim = clitest.Run
 
 // run is roccsim on a small seeded BF(16) scenario, failing the test on
 // a non-zero exit.
@@ -133,13 +111,20 @@ func TestStagesLeavesResultsUnchanged(t *testing.T) {
 	}
 }
 
-// TestRejectsUnknownValues: an unknown architecture or calendar exits
-// non-zero with a message on stderr.
+// TestRejectsUnknownValues: an unknown architecture, calendar,
+// forwarding configuration or log level is a usage error: exit 2, as the
+// flag package gives, with a message on stderr.
 func TestRejectsUnknownValues(t *testing.T) {
-	for _, args := range [][]string{{"-arch", "vax"}, {"-calendar", "sundial"}} {
+	for _, args := range [][]string{
+		{"-arch", "vax"},
+		{"-calendar", "sundial"},
+		{"-calendar", "list"},
+		{"-forward", "ring"},
+		{"-log", "-", "-loglevel", "loud"},
+	} {
 		stdout, stderr, code := roccsim(t, append(args, "-duration", "0.1")...)
-		if code == 0 {
-			t.Errorf("%v: exit 0, want non-zero (stdout %q)", args, stdout)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stdout %q)", args, code, stdout)
 		}
 		if len(stderr) == 0 {
 			t.Errorf("%v: no error message", args)

@@ -50,10 +50,13 @@ type Model struct {
 
 	// obsC is the attached observability collector (EnableObservability);
 	// obsPipeSeq hands out pipe IDs for its lifecycle events; prov is the
-	// per-sample latency-decomposition engine (ObsOptions.Provenance).
+	// per-sample latency-decomposition engine (ObsOptions.Provenance);
+	// eventsBase is Sim.Dispatched at the warmup reset, where the events
+	// metric starts counting (publishEvents).
 	obsC       *obs.Collector
 	obsPipeSeq int
 	prov       *prov.Engine
+	eventsBase uint64
 }
 
 // Substream identifiers for reproducible per-entity random streams.
@@ -452,6 +455,7 @@ func (m *Model) Run() Result {
 		m.resetAccounting()
 	}
 	m.Sim.Run(m.Cfg.Warmup + m.Cfg.Duration)
+	m.publishEvents()
 	return m.collect()
 }
 
@@ -497,5 +501,6 @@ func (m *Model) resetAccounting() {
 	}
 	if m.obsC != nil {
 		m.obsC.ResetAccounting()
+		m.eventsBase = m.Sim.Dispatched
 	}
 }

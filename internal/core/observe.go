@@ -28,8 +28,9 @@ type ObsOptions struct {
 // EnableObservability subscribes an obs.Collector to the model's event
 // stream: every pipe, application process, daemon, the main process and
 // (when a fault plan is active) the uplinks, plus — with Trace — every
-// CPU and the network. With Metrics it also counts engine dispatches and
-// runs periodic utilization/queue/pipe-depth samplers.
+// CPU and the network. With Metrics it also runs periodic
+// utilization/queue/pipe-depth samplers and publishes the engine's
+// dispatch count as the events metric (see publishEvents).
 //
 // Call after New and before Start/Run, at most once. The trace covers
 // every node's CPU, the dedicated host and the network, so per-class
@@ -79,31 +80,31 @@ func (m *Model) EnableObservability(o ObsOptions) (*obs.Collector, error) {
 	}
 
 	if c.Metrics != nil {
-		m.Sim.Obs = c
 		interval := o.SampleIntervalUS
 		if interval <= 0 {
 			interval = m.Cfg.Duration / 100
 		}
 		sampler := obs.NewSampler(m.Sim, interval)
 		// Preallocate every probe series for the whole run — the tick
-		// count follows from the run geometry — and batch latency
-		// observations in a buffer sized to one instrumentation period's
-		// expected deliveries, so steady-state metric recording appends
-		// into flat storage without growth (see the obs allocs tests).
+		// count follows from the run geometry — so steady-state sampling
+		// appends without growth (see the obs allocs tests).
 		sampler.SetExpectedTicks(int((m.Cfg.Warmup+m.Cfg.Duration)/interval) + 2)
-		apps := m.Cfg.AppProcs
-		if m.Cfg.Arch != SMP {
-			apps *= m.Cfg.Nodes
-		}
-		staging := 2 * apps
-		if staging < 64 {
-			staging = 64
-		}
-		c.Metrics.Latency.EnableStaging(staging)
+		sampler.OnTick(m.publishEvents)
 		m.addProbes(c, sampler, interval)
 		sampler.Start()
 	}
 	return c, nil
+}
+
+// publishEvents sets the events metric to the engine's dispatch count
+// since the warmup reset. It runs on the simulation goroutine at every
+// sampler tick and once at the end of Run, so mid-run the live value
+// trails the engine by at most one sampler interval and after Run it is
+// exact. The dispatch loop itself carries no hook.
+func (m *Model) publishEvents() {
+	if m.obsC != nil && m.obsC.Metrics != nil {
+		m.obsC.Metrics.Events.Store(m.Sim.Dispatched - m.eventsBase)
+	}
 }
 
 // Collector returns the attached collector, nil when observability is

@@ -67,15 +67,6 @@ type Calendar interface {
 	Len() int
 }
 
-// Observer receives engine-level notifications. Implementations must not
-// schedule, cancel, or otherwise touch the simulator from the callback —
-// observers watch the run, they don't steer it.
-type Observer interface {
-	// EventDispatched fires after each executed (non-canceled) event with
-	// the event's time and the remaining calendar length.
-	EventDispatched(t Time, pending int)
-}
-
 // Simulator owns the simulation clock and the future event list.
 type Simulator struct {
 	now Time
@@ -88,10 +79,6 @@ type Simulator struct {
 
 	// Dispatched counts events actually executed (not canceled ones).
 	Dispatched uint64
-
-	// Obs, when non-nil, observes the dispatch loop. The nil check is the
-	// whole disabled-path cost (see BenchmarkStepNilObserver).
-	Obs Observer
 }
 
 // maxFree caps the free list so a burst of in-flight events cannot pin
@@ -172,9 +159,6 @@ func (s *Simulator) Step() bool {
 		s.Dispatched++
 		s.fire(e)
 		s.release(e)
-		if s.Obs != nil {
-			s.Obs.EventDispatched(s.now, s.cal.Len())
-		}
 		return true
 	}
 }
@@ -214,9 +198,6 @@ func (s *Simulator) Run(until Time) {
 		s.Dispatched++
 		s.fire(e)
 		s.release(e)
-		if s.Obs != nil {
-			s.Obs.EventDispatched(s.now, s.cal.Len())
-		}
 	}
 	s.now = until
 }

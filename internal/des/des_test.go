@@ -428,89 +428,51 @@ func TestFiredEventReleasesClosure(t *testing.T) {
 	}
 }
 
-// countingObserver records dispatch notifications for the observer tests.
-type countingObserver struct {
-	events  int
-	lastT   Time
-	pending []int
-}
-
-func (o *countingObserver) EventDispatched(t Time, pending int) {
-	o.events++
-	o.lastT = t
-	o.pending = append(o.pending, pending)
-}
-
-// An attached observer sees every executed event — from both Step and Run
-// — with the dispatch-time clock, and never sees canceled events.
-func TestObserverSeesDispatches(t *testing.T) {
+// Dispatched counts every executed event — from both Step and Run — and
+// never a canceled one.
+func TestDispatchedCountsStepAndRun(t *testing.T) {
 	s := New()
-	obs := &countingObserver{}
-	s.Obs = obs
-	s.Schedule(1, func() {})
-	s.Schedule(2, func() {})
-	canceled := s.Schedule(3, func() {})
-	canceled.Cancel()
-	s.Schedule(4, func() {})
-
+	for _, at := range []Time{1, 2, 3, 4} {
+		if e := s.Schedule(at, func() {}); at == 3 {
+			e.Cancel()
+		}
+	}
 	s.Step()
-	if obs.events != 1 || obs.lastT != 1 {
-		t.Fatalf("after Step: events=%d lastT=%v, want 1 at t=1", obs.events, obs.lastT)
+	if s.Dispatched != 1 || s.Now() != 1 {
+		t.Fatalf("after Step: dispatched %d at t=%v, want 1 at t=1", s.Dispatched, s.Now())
 	}
 	s.Run(10)
-	if obs.events != 3 {
-		t.Fatalf("observer saw %d events, want 3 (canceled one skipped)", obs.events)
-	}
-	if obs.lastT != 4 {
-		t.Fatalf("last dispatch at t=%v, want 4", obs.lastT)
-	}
-	if int(s.Dispatched) != obs.events {
-		t.Fatalf("observer count %d != Dispatched %d", obs.events, s.Dispatched)
-	}
-	// pending reflects the calendar after each dispatch, ending empty.
-	if obs.pending[len(obs.pending)-1] != 0 {
-		t.Fatalf("final pending %d, want 0", obs.pending[len(obs.pending)-1])
+	if s.Dispatched != 3 || s.Pending() != 0 {
+		t.Fatalf("after Run: dispatched %d, pending %d; want 3 (canceled one skipped), 0", s.Dispatched, s.Pending())
 	}
 }
 
-// The steady-state zero-alloc guarantee (PR 2's free-list baseline) must
-// hold with the observer hook compiled in but not attached.
-func TestSteadyStateNilObserverDoesNotAllocate(t *testing.T) {
+// selfRescheduling returns a simulator whose one event reschedules
+// itself forever: the steady state of the dispatch loop.
+func selfRescheduling() *Simulator {
 	s := New()
 	var rec func()
 	rec = func() { s.Schedule(1, rec) }
 	s.Schedule(1, rec)
-	allocs := testing.AllocsPerRun(100, func() {
-		s.Step()
-	})
-	if allocs > 0 {
-		t.Fatalf("nil-observer Step allocated %.1f objects per event", allocs)
+	return s
+}
+
+// The event free list keeps steady-state dispatch allocation-free: a
+// self-rescheduling event reuses its own Event.
+func TestSteadyStateStepDoesNotAllocate(t *testing.T) {
+	s := selfRescheduling()
+	if allocs := testing.AllocsPerRun(100, func() { s.Step() }); allocs > 0 {
+		t.Fatalf("Step allocated %.1f objects per event", allocs)
 	}
 }
 
-// benchStep measures the dispatch hot path of a self-rescheduling
-// workload; the nil/attached pair quantifies the observer hook's cost.
-func benchStep(b *testing.B, obs Observer) {
-	s := New()
-	s.Obs = obs
-	var rec func()
-	rec = func() { s.Schedule(1, rec) }
-	s.Schedule(1, rec)
+// BenchmarkStep measures the bare dispatch loop: it must report 0
+// allocs/op.
+func BenchmarkStep(b *testing.B) {
+	s := selfRescheduling()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step()
 	}
 }
-
-// tallyObserver is the cheapest possible attached observer, so the
-// attached benchmark measures hook dispatch, not observer work.
-type tallyObserver struct{ n uint64 }
-
-func (o *tallyObserver) EventDispatched(t Time, pending int) { o.n++ }
-
-// BenchmarkStepNilObserver is the zero-overhead-when-disabled proof: it
-// must report 0 allocs/op and ns/op indistinguishable from the PR 2
-// baseline (the hook adds one predicted-not-taken branch).
-func BenchmarkStepNilObserver(b *testing.B)      { benchStep(b, nil) }
-func BenchmarkStepAttachedObserver(b *testing.B) { benchStep(b, &tallyObserver{}) }

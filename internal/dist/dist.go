@@ -266,7 +266,7 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]core.Result, error) {
 		}
 		recoveredN = len(recovered)
 	}
-	c.mon.begin(len(shards), recoveredN)
+	c.mon.begin(len(shards), recoveredN, c.m)
 
 	for si := range shards {
 		if c.status[si] != statusDone {
@@ -407,13 +407,13 @@ func (c *coord) slot(ctx context.Context, r Runner) {
 		started = true
 		c.mon.workerReady(name)
 		for {
-			si, speculative, ok := c.next(ctx)
+			si, ok := c.next(ctx)
 			if !ok {
 				w.Close()
 				return
 			}
 			sh := c.shards[si]
-			c.mon.dispatched(name, si, speculative)
+			c.mon.dispatched(name, si)
 			actx, cancel := context.WithTimeout(ctx, c.attemptDeadline())
 			var tok *attemptToken
 			if c.tr != nil {
@@ -434,7 +434,7 @@ func (c *coord) slot(ctx context.Context, r Runner) {
 				c.tr.attemptEnd(tok, err, timedOut)
 			}
 			if err != nil {
-				c.mon.failed(name, timedOut)
+				c.mon.failed(name)
 				c.onFailure(si, name, err, timedOut)
 				w.Close()
 				if ctx.Err() != nil {
@@ -488,14 +488,14 @@ func (c *coord) startWorker(ctx context.Context, r Runner, restart bool) Worker 
 }
 
 // next blocks until a shard is available for this worker: a queued shard
-// first, else a speculative duplicate of the oldest straggler (reported
-// in the second return). Returns false when the remote phase is over.
-func (c *coord) next(ctx context.Context) (si int, speculative, ok bool) {
+// first, else a speculative duplicate of the oldest straggler. Returns
+// false when the remote phase is over.
+func (c *coord) next(ctx context.Context) (si int, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
 		if c.closed || ctx.Err() != nil || c.remoteable == 0 {
-			return 0, false, false
+			return 0, false
 		}
 		if len(c.queue) > 0 {
 			si := c.queue[0]
@@ -506,12 +506,12 @@ func (c *coord) next(ctx context.Context) (si int, speculative, ok bool) {
 				c.startedAt[si] = time.Now()
 			}
 			c.m.Dispatched.Add(1)
-			return si, false, true
+			return si, true
 		}
 		if si, ok := c.speculativeLocked(); ok {
 			c.attempts[si]++
 			c.m.Redispatches.Add(1)
-			return si, true, true
+			return si, true
 		}
 		c.cond.Wait()
 	}

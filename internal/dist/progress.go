@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"rocc/internal/obs"
 )
 
 // Monitor tracks a sweep's live progress for the monitoring endpoint
@@ -12,7 +14,10 @@ import (
 // state, and an ETA derived from observed shard durations. The
 // coordinator feeds it on every transition; Snapshot may be called from
 // any goroutine at any moment. A nil *Monitor is valid and free — every
-// method no-ops — so the engine pays nothing when telemetry is off.
+// method no-ops — so the engine pays nothing when telemetry is off. The
+// retry, speculative, duplicate and timeout counts are not kept here:
+// Snapshot reads them from the sweep's obs.SweepMetrics, which the
+// coordinator bumps at those transitions.
 //
 // Two invariants the chaos tests pin: Done never decreases (duplicate
 // completions and worker failures cannot un-complete a shard), and
@@ -26,11 +31,8 @@ type Monitor struct {
 	inflight    int // active attempts, speculative twins included
 	waiting     int // shards in retry backoff
 	local       int // shards routed to the local fallback
-	retries     int
-	speculative int
-	duplicates  int
-	timeouts    int
 	failures    int
+	sweep       *obs.SweepMetrics // the current sweep's counters; nil before begin
 	durSum      time.Duration
 	durN        int
 	workers     map[string]*workerInfo
@@ -91,16 +93,18 @@ func NewMonitor() *Monitor {
 	return &Monitor{start: time.Now(), workers: make(map[string]*workerInfo)}
 }
 
-// begin records the sweep's shape: total shards and how many arrived
-// pre-completed from a resumed journal. A monitor may outlive one sweep
-// (roccbench runs several experiments through one endpoint): begin
-// resets the per-sweep shape while the cumulative fault counters and
-// worker histories carry over.
-func (m *Monitor) begin(shards, recovered int) {
+// begin records the sweep's shape: total shards, how many arrived
+// pre-completed from a resumed journal, and the sweep's metric registry.
+// A monitor may outlive one sweep (roccbench runs several experiments
+// through one endpoint): begin resets the per-sweep shape while the
+// failure and fallback counts and worker histories carry over; the
+// counts read from sweep carry over when the sweeps share one registry.
+func (m *Monitor) begin(shards, recovered int, sweep *obs.SweepMetrics) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
+	m.sweep = sweep
 	m.shards = shards
 	m.done = recovered
 	m.finished = false
@@ -141,15 +145,12 @@ func (m *Monitor) workerReady(name string) {
 }
 
 // dispatched records one attempt handed to a worker.
-func (m *Monitor) dispatched(name string, shard int, speculative bool) {
+func (m *Monitor) dispatched(name string, shard int) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
 	m.inflight++
-	if speculative {
-		m.speculative++
-	}
 	w := m.worker(name)
 	w.state = "running"
 	w.shard = shard
@@ -180,7 +181,6 @@ func (m *Monitor) duplicate(name string) {
 		return
 	}
 	m.mu.Lock()
-	m.duplicates++
 	m.inflight--
 	w := m.worker(name)
 	w.state = "idle"
@@ -189,16 +189,13 @@ func (m *Monitor) duplicate(name string) {
 }
 
 // failed records one failed attempt.
-func (m *Monitor) failed(name string, timedOut bool) {
+func (m *Monitor) failed(name string) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
 	m.failures++
 	m.inflight--
-	if timedOut {
-		m.timeouts++
-	}
 	w := m.worker(name)
 	if w.state == "running" {
 		w.state = "idle"
@@ -214,7 +211,6 @@ func (m *Monitor) backoff() {
 		return
 	}
 	m.mu.Lock()
-	m.retries++
 	m.waiting++
 	m.mu.Unlock()
 }
@@ -305,14 +301,16 @@ func (m *Monitor) Snapshot() Progress {
 		Inflight:      m.inflight,
 		Waiting:       m.waiting,
 		LocalFallback: m.local,
-		Retries:       m.retries,
-		Speculative:   m.speculative,
-		Duplicates:    m.duplicates,
-		Timeouts:      m.timeouts,
 		Failures:      m.failures,
 		ElapsedSec:    time.Since(m.start).Seconds(),
 		Finished:      m.finished,
 		Quarantined:   append([]string(nil), m.quarantined...),
+	}
+	if m.sweep != nil {
+		p.Retries = int(m.sweep.Retries.Value())
+		p.Speculative = int(m.sweep.Redispatches.Value())
+		p.Duplicates = int(m.sweep.Duplicates.Value())
+		p.Timeouts = int(m.sweep.Timeouts.Value())
 	}
 	if m.durN > 0 {
 		p.AvgShardSec = (m.durSum / time.Duration(m.durN)).Seconds()

@@ -7,6 +7,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"rocc/internal/obs"
 )
 
 // TestMonitorSnapshotBasics pins the monitor's arithmetic on a scripted
@@ -15,8 +17,8 @@ import (
 // monitor is a safe no-op throughout.
 func TestMonitorSnapshotBasics(t *testing.T) {
 	var nilMon *Monitor
-	nilMon.begin(3, 0)
-	nilMon.dispatched("w", 0, false)
+	nilMon.begin(3, 0, nil)
+	nilMon.dispatched("w", 0)
 	nilMon.completed("w", 0, time.Second)
 	nilMon.finish()
 	if p := nilMon.Snapshot(); p.Shards != 0 || p.Workers != nil {
@@ -24,12 +26,13 @@ func TestMonitorSnapshotBasics(t *testing.T) {
 	}
 
 	m := NewMonitor()
-	m.begin(4, 1)
+	sm := obs.NewSweepMetrics()
+	m.begin(4, 1, sm)
 	m.workerStarting("b")
 	m.workerReady("b")
 	m.workerStarting("a")
 	m.workerReady("a")
-	m.dispatched("a", 1, false)
+	m.dispatched("a", 1)
 	p := m.Snapshot()
 	if p.Done != 1 || p.Inflight != 1 || p.Shards != 4 {
 		t.Fatalf("after dispatch: %+v", p)
@@ -65,6 +68,16 @@ func TestMonitorSnapshotBasics(t *testing.T) {
 	// One lane left → the ETA doubles.
 	if math.Abs(p.ETASec-0.2) > 1e-9 {
 		t.Fatalf("ETA after quarantine = %v, want 0.2", p.ETASec)
+	}
+
+	// The fault counts are the sweep registry's, read at snapshot time.
+	sm.Retries.Add(3)
+	sm.Redispatches.Add(2)
+	sm.Duplicates.Add(1)
+	sm.Timeouts.Add(4)
+	p = m.Snapshot()
+	if p.Retries != 3 || p.Speculative != 2 || p.Duplicates != 1 || p.Timeouts != 4 {
+		t.Fatalf("registry counts not in snapshot: %+v", p)
 	}
 
 	m.finish()

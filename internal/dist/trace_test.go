@@ -179,3 +179,44 @@ func TestUntracedRequestOmitsTrace(t *testing.T) {
 		t.Fatal("round-trip invented a trace context")
 	}
 }
+
+// The Chrome export of a hand-built recorder is pinned byte for byte:
+// fixed events on the coordinator, the local fallback and two worker
+// tracks (recorded out of name order, so the pid layout's sort shows),
+// plus one instant.
+func TestTraceWriteChromeGolden(t *testing.T) {
+	tr := &TraceRecorder{events: []traceEvent{
+		{name: "dispatch shard 1", cat: "dispatch", ph: "X", ts: 10.5, dur: 200, track: "worker-b",
+			args: map[string]any{"shard": 1, "attempt": 1, "outcome": "ok"}},
+		{name: "run shard 1", cat: "run", ph: "X", ts: 12, dur: 180.25, track: "worker-b",
+			args: map[string]any{"shard": 1, "attempt": 1, "job": -1}},
+		{name: "dispatch shard 0", cat: "dispatch", ph: "X", ts: 11, dur: 50, track: "worker-a",
+			args: map[string]any{"shard": 0, "attempt": 1, "outcome": "error", "error": "worker crashed"}},
+		{name: "quarantined", cat: "quarantine", ph: "i", ts: 61, track: "worker-a",
+			args: map[string]any{"consecutive_failures": 2}},
+		{name: "retry backoff shard 0", cat: "retry", ph: "X", ts: 61, dur: 1000, track: trackCoordinator,
+			args: map[string]any{"shard": 0}},
+		{name: "run shard 0", cat: "local", ph: "X", ts: 1061, dur: 0, track: trackLocal,
+			args: map[string]any{"shard": 0}},
+		{name: "merge results", cat: "merge", ph: "X", ts: 1300, dur: 3.75, track: trackCoordinator,
+			args: map[string]any{"jobs": 4}},
+	}}
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = `[{"name":"process_name","ph":"M","ts":0,"pid":11,"tid":0,"args":{"name":"worker-b"}},` +
+		`{"name":"dispatch shard 1","cat":"dispatch","ph":"X","ts":10.5,"dur":200,"pid":11,"tid":1,"args":{"attempt":1,"outcome":"ok","shard":1}},` +
+		`{"name":"run shard 1","cat":"run","ph":"X","ts":12,"dur":180.25,"pid":11,"tid":1,"args":{"attempt":1,"job":-1,"shard":1}},` +
+		`{"name":"process_name","ph":"M","ts":0,"pid":10,"tid":0,"args":{"name":"worker-a"}},` +
+		`{"name":"dispatch shard 0","cat":"dispatch","ph":"X","ts":11,"dur":50,"pid":10,"tid":1,"args":{"attempt":1,"error":"worker crashed","outcome":"error","shard":0}},` +
+		`{"name":"quarantined","cat":"quarantine","ph":"i","ts":61,"pid":10,"tid":1,"s":"t","args":{"consecutive_failures":2}},` +
+		`{"name":"process_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"coordinator"}},` +
+		`{"name":"retry backoff shard 0","cat":"retry","ph":"X","ts":61,"dur":1000,"pid":1,"tid":1,"args":{"shard":0}},` +
+		`{"name":"process_name","ph":"M","ts":0,"pid":2,"tid":0,"args":{"name":"local fallback"}},` +
+		`{"name":"run shard 0","cat":"local","ph":"X","ts":1061,"pid":2,"tid":1,"args":{"shard":0}},` +
+		`{"name":"merge results","cat":"merge","ph":"X","ts":1300,"dur":3.75,"pid":1,"tid":1,"args":{"jobs":4}}]` + "\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("WriteChrome bytes changed:\ngot  %s\nwant %s", got, want)
+	}
+}

@@ -58,14 +58,13 @@ type Options struct {
 	// axis the paper pins (the tables and figures) ignore it, so their
 	// output stays byte-identical.
 	Policy *forward.StrategySpec
-	// SweepMetrics, Monitor, and Trace attach live telemetry to the
-	// distributed factorial runs (DistWorkers > 0): fault counters for a
-	// /metrics exposition, shard progress for /progress, and the merged
-	// per-worker shard timeline. All three are nil-safe and purely
-	// observational — results stay byte-identical with or without them.
+	// SweepMetrics and Monitor attach live telemetry to the distributed
+	// factorial runs (DistWorkers > 0): fault counters for a /metrics
+	// exposition and shard progress for /progress. Both are nil-safe and
+	// purely observational — results stay byte-identical with or without
+	// them.
 	SweepMetrics *obs.SweepMetrics
 	Monitor      *dist.Monitor
-	Trace        *dist.TraceRecorder
 }
 
 // Default returns the fast default scaling.

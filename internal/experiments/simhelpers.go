@@ -168,11 +168,8 @@ func runFactorial(rows []factorialRow, opt Options, overhead, latency core.Metri
 			Runners:       distRunners(opt.DistWorkers),
 			LocalParallel: opt.Parallel,
 			Log:           os.Stderr,
+			Metrics:       opt.SweepMetrics,
 			Monitor:       opt.Monitor,
-			Trace:         opt.Trace,
-		}
-		if opt.SweepMetrics != nil {
-			dopt.Metrics = opt.SweepMetrics
 		}
 		flat, err = dist.Run(context.Background(), djobs, dopt)
 	} else {

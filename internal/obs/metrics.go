@@ -22,6 +22,10 @@ type Counter struct {
 // Add increments the counter.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
+// Store sets the counter to n: the publish path for a count kept
+// elsewhere (the engine's dispatch count behind Metrics.Events).
+func (c *Counter) Store(n uint64) { c.v.Store(n) }
+
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
@@ -46,7 +50,7 @@ type Histogram struct {
 	// mu makes the histogram safe to snapshot from the live exporter
 	// while the simulation goroutine observes into it. The lock is
 	// uncontended on the hot path (the exporter grabs it only per
-	// scrape) and allocation-free, so staged Observe stays zero-alloc.
+	// scrape) and allocation-free, so Observe stays zero-alloc.
 	mu     sync.Mutex
 	bounds []float64
 	counts []uint64 // len(bounds)+1
@@ -54,13 +58,6 @@ type Histogram struct {
 	sum    float64
 	min    float64
 	max    float64
-
-	// staged batches observations in a flat preallocated buffer
-	// (EnableStaging) flushed into the buckets when full or when any
-	// accessor needs the totals. Merging observations is commutative, so
-	// flush timing can never change a reported value — staging only
-	// moves the bucket-scan cost off the per-event hot path.
-	staged []float64
 }
 
 // NewHistogram returns a histogram over the given ascending bucket bounds.
@@ -94,24 +91,9 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// Observe records one value. With staging enabled (EnableStaging) the
-// value lands in the flat batch buffer; the bucket scan happens at flush.
+// Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	h.mu.Lock()
-	if cap(h.staged) > 0 {
-		h.staged = append(h.staged, v)
-		if len(h.staged) == cap(h.staged) {
-			h.flushLocked()
-		}
-		h.mu.Unlock()
-		return
-	}
-	h.observe(v)
-	h.mu.Unlock()
-}
-
-// observe merges one value into the buckets.
-func (h *Histogram) observe(v float64) {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
@@ -125,36 +107,13 @@ func (h *Histogram) observe(v float64) {
 	if v > h.max {
 		h.max = v
 	}
-}
-
-// EnableStaging batches observations in a preallocated buffer of the
-// given capacity, flushed when full and whenever an accessor runs. Size
-// it to the expected observations per reporting period — the run's
-// duration/period geometry — so the flush cadence tracks the sampling
-// period.
-func (h *Histogram) EnableStaging(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	h.mu.Lock()
-	h.flushLocked()
-	h.staged = make([]float64, 0, capacity)
 	h.mu.Unlock()
-}
-
-// flushLocked merges staged observations into the buckets; h.mu held.
-func (h *Histogram) flushLocked() {
-	for _, v := range h.staged {
-		h.observe(v)
-	}
-	h.staged = h.staged[:0]
 }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.flushLocked()
 	return h.total
 }
 
@@ -162,7 +121,6 @@ func (h *Histogram) Count() uint64 {
 func (h *Histogram) Mean() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.flushLocked()
 	if h.total == 0 {
 		return 0
 	}
@@ -173,7 +131,6 @@ func (h *Histogram) Mean() float64 {
 func (h *Histogram) Min() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.flushLocked()
 	if h.total == 0 {
 		return 0
 	}
@@ -184,7 +141,6 @@ func (h *Histogram) Min() float64 {
 func (h *Histogram) Max() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.flushLocked()
 	if h.total == 0 {
 		return 0
 	}
@@ -204,12 +160,11 @@ type HistogramSnapshot struct {
 	Max    float64 // -Inf when empty
 }
 
-// Snapshot flushes staged observations and returns a consistent copy —
-// the race-safe read the live OpenMetrics exporter renders from.
+// Snapshot returns a consistent copy — the race-safe read the live
+// OpenMetrics exporter renders from.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.flushLocked()
 	return HistogramSnapshot{
 		Name:   h.Name,
 		Bounds: append([]float64(nil), h.bounds...),
@@ -229,7 +184,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 func (h *Histogram) Quantile(p float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.flushLocked()
 	if h.total == 0 {
 		return 0
 	}
@@ -271,13 +225,8 @@ func (h *Histogram) Quantile(p float64) float64 {
 // Reset zeroes the histogram in place (identity-preserving, so live
 // exporters holding a reference keep reading the same histogram across a
 // warmup reset).
-func (h *Histogram) Reset() { h.reset() }
-
-// reset zeroes the histogram in place, discarding staged observations too
-// (they were recorded before the reset point).
-func (h *Histogram) reset() {
+func (h *Histogram) Reset() {
 	h.mu.Lock()
-	h.staged = h.staged[:0]
 	for i := range h.counts {
 		h.counts[i] = 0
 	}
@@ -331,7 +280,7 @@ func (s *Series) Last() (t, v float64, ok bool) {
 // reads it mid-run, so counters are atomic and the histogram and series
 // lock.
 type Metrics struct {
-	Events        Counter // engine events dispatched
+	Events        Counter // engine events dispatched (published by core, not counted here)
 	Generated     Counter // samples written by application processes
 	Delivered     Counter // samples received at the main process
 	DeliveredMsgs Counter // forwarded messages received at the main process
@@ -417,9 +366,9 @@ func (m *Metrics) Series() []*Series { return m.series }
 // (warmup removal); probe registrations survive.
 func (m *Metrics) Reset() {
 	for _, c := range m.Counters() {
-		c.v.Store(0)
+		c.Store(0)
 	}
-	m.Latency.reset()
+	m.Latency.Reset()
 	for _, s := range m.series {
 		s.mu.Lock()
 		s.T = s.T[:0]
@@ -440,9 +389,11 @@ type Sampler struct {
 
 	// expect is the tick-count capacity hint for new probe series
 	// (SetExpectedTicks); tickFn is the reusable reschedule closure
-	// (a method value would allocate at every tick).
+	// (a method value would allocate at every tick); onTick is the
+	// OnTick callback, nil when none is set.
 	expect int
 	tickFn func()
+	onTick func()
 }
 
 // SetExpectedTicks sizes the T/V slices of subsequently registered probes
@@ -491,12 +442,20 @@ func (s *Sampler) Start() {
 	s.sim.Schedule(s.interval, s.tickFn)
 }
 
+// OnTick sets fn to run at every tick, before the probes read. It is
+// the hook that publishes counts the engine keeps itself, such as the
+// dispatch count behind Metrics.Events, on the simulation goroutine.
+func (s *Sampler) OnTick(fn func()) { s.onTick = fn }
+
 // Stop halts sampling after the current tick.
 func (s *Sampler) Stop() { s.stopped = true }
 
 func (s *Sampler) tick() {
 	if s.stopped {
 		return
+	}
+	if s.onTick != nil {
+		s.onTick()
 	}
 	t := float64(s.sim.Now())
 	for _, p := range s.probes {

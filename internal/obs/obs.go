@@ -35,9 +35,9 @@
 // place.
 //
 // A Collector's Flow (the provenance engine, internal/obs/prov) sees the
-// same stream. The engine's dispatch counter is the one other hook:
-// Collector also satisfies des.Observer, which sits below the package
-// that defines the stream.
+// same stream. The dispatch loop itself carries no hook: the events
+// metric is the engine's own des.Simulator.Dispatched count, published
+// by core at every sampler tick and at the end of a run.
 package obs
 
 import "rocc/internal/resources"
@@ -79,13 +79,6 @@ func (c *Collector) ResetAccounting() {
 	}
 	if c.Flow != nil {
 		c.Flow.Observe(resources.Event{Kind: resources.EvReset})
-	}
-}
-
-// EventDispatched implements des.Observer: one engine event executed.
-func (c *Collector) EventDispatched(t float64, pending int) {
-	if c.Metrics != nil {
-		c.Metrics.Events.Add(1)
 	}
 }
 

@@ -9,13 +9,12 @@ import (
 // The live telemetry plane scrapes a run's metrics from an HTTP handler
 // while the simulation goroutine is still mutating them. This test is
 // the -race referee for that contract: one goroutine hammers counters,
-// gauges, the staged histogram, and a series exactly the way a running
+// gauges, the latency histogram, and a series exactly the way a running
 // model does, while readers concurrently take the snapshot-style reads
 // the exporter uses (Value, Snapshot, Quantile, Last). It proves nothing
 // about values — only that no access is an unsynchronized data race.
 func TestConcurrentSnapshotWhileMutating(t *testing.T) {
 	m := NewMetrics()
-	m.Latency.EnableStaging(16)
 	ser := &Series{Name: "pipe_depth"}
 	m.series = append(m.series, ser)
 	var g Gauge

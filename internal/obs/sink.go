@@ -68,15 +68,6 @@ func (s *blocks[T]) push(v T) {
 	s.n++
 }
 
-// copyAll returns the stored entries, in order, as one new slice.
-func (s *blocks[T]) copyAll() []T {
-	out := make([]T, 0, s.n)
-	for _, blk := range s.b {
-		out = append(out, blk...)
-	}
-	return out
-}
-
 // TraceSink records occupancy spans and lifecycle records from one run,
 // each kind in its own block store (see blocks), in recorded order. It
 // is filled synchronously from the single simulation goroutine; no
@@ -124,19 +115,8 @@ func (s *TraceSink) addSamples(kind resources.EventKind, e *resources.Event) {
 // the blocks.
 func (s *TraceSink) Reset() { *s = TraceSink{} }
 
-// Spans returns a copy of the recorded occupancy spans, in recorded
-// order. It allocates the whole trace again; exporters iterate in place.
-func (s *TraceSink) Spans() []OccSpan { return s.spans.copyAll() }
-
-// Events returns a copy of the recorded lifecycle records, in recorded
-// order. It allocates the whole trace again; exporters iterate in place.
-func (s *TraceSink) Events() []Record { return s.events.copyAll() }
-
 // Counts returns the number of recorded spans and lifecycle records.
 func (s *TraceSink) Counts() (spans, records int) { return s.spans.n, s.events.n }
-
-// Len returns the total number of recorded spans and records.
-func (s *TraceSink) Len() int { return s.spans.n + s.events.n }
 
 // classPID maps a resource-accounting owner class to the Table 1 trace
 // label and its PID base (one PID block per class; unit offsets within).
@@ -197,11 +177,13 @@ const (
 	chromePIDPipe   = 4000 // + pipe ID
 )
 
-// chromeEvent is one trace-event object. Fields follow the Trace Event
-// Format spec: ph "X" = complete (ts+dur), "i" = instant, "M" = metadata,
+// ChromeEvent is one trace-event object, the one event type behind every
+// Chrome trace this project writes (a run's trace here, a sweep's
+// timeline in internal/dist). Fields follow the Trace Event Format spec:
+// ph "X" = complete (ts+dur), "i" = instant, "M" = metadata,
 // "s"/"t"/"f" = flow start/step/end (ID binds the flow; BP "e" makes the
 // flow end bind to the enclosing slice).
-type chromeEvent struct {
+type ChromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -250,12 +232,12 @@ func ownerTID(owner string) int {
 // produce flow steps with no start), and each flow ends at most once
 // (first delivery or loss wins; injected duplicates add no second end).
 func (s *TraceSink) WriteChrome(w io.Writer) error {
-	events := make([]chromeEvent, 0, s.spans.n+s.events.n+16)
+	events := make([]ChromeEvent, 0, s.spans.n+s.events.n+16)
 	named := map[int]string{}
 	name := func(pid int, label string) {
 		if _, ok := named[pid]; !ok {
 			named[pid] = label
-			events = append(events, chromeEvent{
+			events = append(events, ChromeEvent{
 				Name: "process_name", Ph: "M", PID: pid,
 				Args: map[string]any{"name": label},
 			})
@@ -279,7 +261,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 			} else {
 				name(pid, "network")
 			}
-			events = append(events, chromeEvent{
+			events = append(events, ChromeEvent{
 				Name: sp.Owner, Cat: cat, Ph: "X",
 				TS: sp.StartUS, Dur: sp.DurUS,
 				PID: pid, TID: ownerTID(sp.Owner),
@@ -292,12 +274,12 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 			case resources.EvSampleGenerated:
 				pid := ChromePIDSample + e.Node
 				name(pid, fmt.Sprintf("node %d samples", e.Node))
-				events = append(events, chromeEvent{
+				events = append(events, ChromeEvent{
 					Name: e.Kind.String(), Cat: "lifecycle", Ph: "i",
 					TS: e.TUS, PID: pid, TID: 1, S: "t",
 					Args: map[string]any{"n": e.N, "hops": e.Hops},
 				})
-				events = append(events, chromeEvent{
+				events = append(events, ChromeEvent{
 					Name: "sample path", Cat: flowCat, Ph: "s",
 					TS: e.TUS, PID: pid, TID: 1,
 					ID:   flowID(e.Node, e.Proc, e.Seq),
@@ -310,7 +292,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 				}
 				pid := ChromePIDSample + e.Node
 				name(pid, fmt.Sprintf("node %d samples", e.Node))
-				events = append(events, chromeEvent{
+				events = append(events, ChromeEvent{
 					Name: e.Kind.String(), Cat: flowCat, Ph: "t",
 					TS: e.TUS, PID: pid, TID: 1, ID: id,
 					Args: map[string]any{"pd": e.Unit, "hops": e.Hops},
@@ -318,7 +300,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 			case resources.EvSampleLost:
 				pid := ChromePIDSample + e.Node
 				name(pid, fmt.Sprintf("node %d samples", e.Node))
-				events = append(events, chromeEvent{
+				events = append(events, ChromeEvent{
 					Name: e.Kind.String(), Cat: "lifecycle", Ph: "i",
 					TS: e.TUS, PID: pid, TID: 1, S: "t",
 					Args: map[string]any{"reason": procs.LossReason(e.N).String(), "pd": e.Unit},
@@ -326,7 +308,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 				id := flowID(e.Node, e.Proc, e.Seq)
 				if gen[id] && !ended[id] {
 					ended[id] = true
-					events = append(events, chromeEvent{
+					events = append(events, ChromeEvent{
 						Name: "sample path", Cat: flowCat, Ph: "f",
 						TS: e.TUS, PID: pid, TID: 1, ID: id, BP: "e",
 					})
@@ -334,7 +316,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 			case resources.EvSampleDelivered:
 				pid := ChromePIDSample + e.Node
 				name(pid, fmt.Sprintf("node %d samples", e.Node))
-				events = append(events, chromeEvent{
+				events = append(events, ChromeEvent{
 					Name: fmt.Sprintf("sample p%d #%d", e.Proc, e.Seq),
 					Cat:  "sample", Ph: "X",
 					TS: e.TUS, Dur: e.DurUS,
@@ -344,7 +326,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 				id := flowID(e.Node, e.Proc, e.Seq)
 				if gen[id] && !ended[id] {
 					ended[id] = true
-					events = append(events, chromeEvent{
+					events = append(events, ChromeEvent{
 						Name: "sample path", Cat: flowCat, Ph: "f",
 						TS: e.TUS + e.DurUS, PID: pid, TID: 1 + e.Proc, ID: id, BP: "e",
 					})
@@ -352,7 +334,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 			case resources.EvPipePut, resources.EvPipeBlocked, resources.EvPipeDropped, resources.EvPipeGet:
 				pid := chromePIDPipe + e.Unit
 				name(pid, fmt.Sprintf("pipe %d", e.Unit))
-				events = append(events, chromeEvent{
+				events = append(events, ChromeEvent{
 					Name: e.Kind.String(), Cat: "pipe", Ph: "i",
 					TS: e.TUS, PID: pid, TID: 1, S: "t",
 					Args: map[string]any{"node": e.Node, "proc": e.Proc, "seq": e.Seq, "n": e.N},
@@ -360,7 +342,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 			default:
 				pid := ChromePIDSample + e.Node
 				name(pid, fmt.Sprintf("node %d samples", e.Node))
-				events = append(events, chromeEvent{
+				events = append(events, ChromeEvent{
 					Name: e.Kind.String(), Cat: "lifecycle", Ph: "i",
 					TS: e.TUS, PID: pid, TID: 1, S: "t",
 					Args: map[string]any{"n": e.N, "hops": e.Hops},
@@ -381,7 +363,7 @@ func (s *TraceSink) WriteChrome(w io.Writer) error {
 // cat, and no flow ends twice. Used by the CI trace-export smoke step and
 // roccviz -check.
 func ValidateChrome(r io.Reader) (int, error) {
-	var events []chromeEvent
+	var events []ChromeEvent
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&events); err != nil {
 		return 0, fmt.Errorf("obs: not a trace-event JSON array: %w", err)

@@ -37,26 +37,30 @@ func observeMix(c *Collector, n int) {
 	}
 }
 
-// checkMix reports whether every reader returns observeMix's n spans and
-// records in recorded order.
+// checkMix reports whether the sink holds observeMix's n spans and
+// records in recorded order: the records read from the blocks in place,
+// the spans through TraceRecords, whose stable sort keeps that order.
 func checkMix(t *testing.T, s *TraceSink, n int) {
 	t.Helper()
-	if spans, records := s.Counts(); spans != n || records != n || s.Len() != 2*n {
-		t.Fatalf("Counts() = %d, %d and Len() = %d, want %d, %d and %d", spans, records, s.Len(), n, n, 2*n)
+	if spans, records := s.Counts(); spans != n || records != n {
+		t.Fatalf("Counts() = %d, %d, want %d each", spans, records, n)
 	}
-	spans, events, recs := s.Spans(), s.Events(), s.TraceRecords()
-	if len(spans) != n || len(events) != n || len(recs) != n {
-		t.Fatalf("got %d spans, %d events, %d trace records, want %d each", len(spans), len(events), len(recs), n)
+	i := 0
+	for _, blk := range s.events.b {
+		for _, e := range blk {
+			if e.Seq != i || e.TUS != float64(i) {
+				t.Fatalf("record %d = %+v, out of recorded order", i, e)
+			}
+			i++
+		}
 	}
-	for i := 0; i < n; i++ {
-		if spans[i].DurUS != float64(i) || spans[i].Unit != i%4 {
-			t.Fatalf("span %d = %+v, out of recorded order", i, spans[i])
-		}
-		if events[i].Seq != i || events[i].TUS != float64(i) {
-			t.Fatalf("event %d = %+v, out of recorded order", i, events[i])
-		}
-		if recs[i].DurationUS != float64(i) || recs[i].PID != 100+i%4 {
-			t.Fatalf("trace record %d = %+v, out of recorded order", i, recs[i])
+	recs := s.TraceRecords()
+	if i != n || len(recs) != n {
+		t.Fatalf("blocks hold %d records, TraceRecords %d spans, want %d each", i, len(recs), n)
+	}
+	for i, r := range recs {
+		if r.DurationUS != float64(i) || r.PID != 100+i%4 {
+			t.Fatalf("trace record %d = %+v, out of recorded order", i, r)
 		}
 	}
 }
@@ -70,7 +74,7 @@ func TestTraceSinkBlockOrder(t *testing.T) {
 	checkMix(t, c.Sink, n)
 
 	c.Sink.Reset()
-	if spans, records := c.Sink.Counts(); spans != 0 || records != 0 || len(c.Sink.Spans()) != 0 || len(c.Sink.Events()) != 0 {
+	if spans, records := c.Sink.Counts(); spans != 0 || records != 0 || len(c.Sink.spans.b) != 0 || len(c.Sink.events.b) != 0 {
 		t.Fatalf("Reset left %d spans and %d records", spans, records)
 	}
 	observeMix(c, blockLen+1)
@@ -98,8 +102,8 @@ func TestTraceSinkAllocatesOneCopy(t *testing.T) {
 	if got > limit {
 		t.Fatalf("recording %d records allocated %d bytes, want at most %d", n, got, limit)
 	}
-	if c.Sink.Len() != n {
-		t.Fatalf("sink holds %d records, want %d", c.Sink.Len(), n)
+	if _, records := c.Sink.Counts(); records != n {
+		t.Fatalf("sink holds %d records, want %d", records, n)
 	}
 }
 
@@ -356,7 +360,7 @@ func TestResetAccountingClearsSink(t *testing.T) {
 	c.Observe(resources.Event{Kind: resources.EvSampleGenerated, T: 1, Sample: resources.Sample{}})
 	c.Metrics.Generated.Add(1)
 	c.ResetAccounting()
-	if c.Sink.Len() != 0 {
+	if spans, records := c.Sink.Counts(); spans+records != 0 {
 		t.Fatal("sink survived ResetAccounting")
 	}
 	if c.Metrics.Generated.Value() != 0 {
